@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test check fmt vet race fuzz bench bench-json experiments serve-smoke fleet-smoke overload-smoke
+.PHONY: build test check fmt vet race fuzz bench bench-json experiments serve-smoke fleet-smoke overload-smoke perfbench
 
 build:
 	$(GO) build ./...
@@ -61,8 +61,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEngineDifferential -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzAdmitUpload -fuzztime $(FUZZTIME) ./internal/admit
 
+# The served-path benchmark (perfbench/) is its own Go module, so
+# `go build ./...` and the race run above never compile it; vet and
+# test it here so a change to an API it calls breaks this gate.
+perfbench:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
+
 # Pre-merge check: run before every merge/PR.
-check: vet fmt race serve-smoke fleet-smoke overload-smoke fuzz
+check: vet fmt race serve-smoke fleet-smoke overload-smoke fuzz perfbench
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./internal/bench

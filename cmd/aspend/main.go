@@ -95,7 +95,7 @@ func main() {
 		flightSize  = flag.Int("flight", telemetry.DefaultFlightSize, "flight-recorder capacity: completed requests kept for /v1/debug/requests (slow/error requests keep a quarter of this on top)")
 		slowThresh  = flag.Duration("slow", time.Duration(telemetry.DefaultSlowNS), "latency at which a request is retained in the flight recorder's notable ring")
 		stateDir    = flag.String("state-dir", "", "durable control-plane state directory: registry mutations are journaled and replayed on restart, and ?session= parses checkpoint here (empty = in-memory only)")
-		engineSel   = flag.String("engine", serve.EngineFast, "execution backend: fast (batched table-driven engine) or sim (cycle-accurate simulator; chaos-guarded parses always run sim)")
+		engineSel   = flag.String("engine", serve.EngineFast, "execution backend: fast (table-driven engine) or sim (cycle-accurate simulator; chaos-guarded parses always run sim)")
 		latencyTgt  = flag.Duration("latency-target", serve.DefaultLatencyTarget, "parse-latency target the AIMD concurrency limiter steers toward")
 		brownout    = flag.Bool("brownout", false, "shed the cheapest-weight tenants first when the concurrency limiter collapses (see shed_total{reason=brownout})")
 		grayRate    = flag.Float64("gray-rate", 0, "chaos: per-activation latency-fault probability — the node stays correct but turns gray-slow (0 = no injection)")

@@ -177,8 +177,8 @@ type TrajectoryDelta struct {
 // CompareResult is the full diff of two snapshots.
 type CompareResult struct {
 	Deltas []TrajectoryDelta
-	// Notes carries comparability caveats: rows present on one side
-	// only, configuration drift, host mismatches.
+	// Notes carries comparability caveats: rows or metrics present on
+	// one side only, configuration drift, host mismatches.
 	Notes []string
 }
 
@@ -260,6 +260,16 @@ func Compare(old, cur *Trajectory, threshold float64) *CompareResult {
 				d.Improved = d.Ratio > 1+threshold
 			}
 			res.Deltas = append(res.Deltas, d)
+		}
+		var gone []string
+		for k := range or.Metrics {
+			if _, ok := nr.Metrics[k]; !ok {
+				gone = append(gone, k)
+			}
+		}
+		sort.Strings(gone)
+		for _, k := range gone {
+			res.Notes = append(res.Notes, fmt.Sprintf("row %q: metric %q disappeared from the new run", nr.Name, k))
 		}
 	}
 	for _, or := range old.Rows {

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -145,6 +147,17 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("missing-row note absent: %v", res.Notes)
+	}
+
+	// A metric dropped from a surviving row is surfaced too, without
+	// counting as a regression: deleting a column must not hide one.
+	old = NewTrajectory(sampleTable(), "", nil)
+	cur = NewTrajectory(sampleTable(), "", nil)
+	delete(cur.Rows[0].Metrics, "us_req")
+	res = Compare(old, cur, 0.15)
+	want := fmt.Sprintf("row %q: metric %q disappeared from the new run", cur.Rows[0].Name, "us_req")
+	if res.Regressions() != 0 || !slices.Contains(res.Notes, want) {
+		t.Fatalf("dropped metric: regressions=%d, want note %q in %v", res.Regressions(), want, res.Notes)
 	}
 }
 

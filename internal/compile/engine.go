@@ -8,7 +8,7 @@ import (
 
 // Fast-path lowering. A Compiled machine can additionally be lowered
 // into internal/engine's flattened transition tables — the hook the
-// serving layer uses to route requests through the batched engine
+// serving layer uses to route requests through the fast-path engine
 // instead of the cycle-accurate simulator. The lowering is pure table
 // construction over the already-built hDPDA, done once per Compiled and
 // cached on it: tenants share one Program across every pooled

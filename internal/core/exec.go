@@ -306,6 +306,27 @@ func (e *Execution) Feed(sym Symbol) (bool, error) {
 	return false, nil
 }
 
+// FeedAll consumes input in order — drain ε-moves, then feed, per
+// symbol — and reports how many symbols were consumed, whether the
+// machine jammed on input[fed], and any machine fault (the faulting
+// symbol stays uncounted). Hooks and faults fire per activation exactly
+// as through DrainEpsilon and Feed, which it calls.
+func (e *Execution) FeedAll(input []Symbol) (fed int, jammed bool, err error) {
+	for i, sym := range input {
+		if _, err := e.DrainEpsilon(); err != nil {
+			return i, false, err
+		}
+		ok, err := e.Feed(sym)
+		if err != nil {
+			return i, false, err
+		}
+		if !ok {
+			return i, true, nil
+		}
+	}
+	return len(input), false, nil
+}
+
 // InAccept reports whether the active state is an accept state.
 func (e *Execution) InAccept() bool { return e.M.States[e.cur].Accept }
 
@@ -318,18 +339,13 @@ func (e *Execution) Result() Result { return e.res }
 // an accept state.
 func (m *HDPDA) Run(input []Symbol, opts ExecOptions) (Result, error) {
 	e := NewExecution(m, opts)
-	for _, sym := range input {
-		if _, err := e.DrainEpsilon(); err != nil {
-			return e.res, err
-		}
-		ok, err := e.Feed(sym)
-		if err != nil {
-			return e.res, err
-		}
-		if !ok {
-			e.res.Jammed = true
-			return e.res, nil
-		}
+	_, jammed, err := e.FeedAll(input)
+	if err != nil {
+		return e.res, err
+	}
+	if jammed {
+		e.res.Jammed = true
+		return e.res, nil
 	}
 	if _, err := e.DrainEpsilon(); err != nil {
 		return e.res, err

@@ -6,8 +6,7 @@ package engine_test
 // exact strings (serve responses embed them). The corpus spans all
 // five built-in grammars with valid, jamming, unlexable, and
 // depth-overflowing documents, driven whole and at adversarial chunk
-// sizes, through both the per-token backend path and the bulk Runner
-// path.
+// sizes.
 
 import (
 	"errors"
@@ -72,11 +71,8 @@ type runMode int
 
 const (
 	simMode    runMode = iota // core.Execution behind the parser (ground truth)
-	engineMode                // engine.Exec behind the parser, per-token path
-	bulkMode                  // engine.Exec with the FeedAll Runner (serve's path)
+	engineMode                // engine.Exec behind the parser (serve's path)
 )
-
-func (m runMode) String() string { return [...]string{"sim", "engine", "bulk"}[m] }
 
 // parseWith runs doc through a streaming parse under the given backend
 // mode, in chunkSize pieces (0 = whole), with an optional stack-depth
@@ -93,11 +89,7 @@ func parseWith(t *testing.T, l *lang.Language, cm *compile.Compiled, mode runMod
 		if perr != nil {
 			t.Fatalf("lower %s: %v", l.Name, perr)
 		}
-		x := engine.NewExec(prog, engine.Options{StackDepth: depth})
-		p, err = stream.NewParserBackend(l, cm, x)
-		if err == nil && mode == bulkMode {
-			p.SetRunner(x.FeedAll)
-		}
+		p, err = stream.NewParserBackend(l, cm, engine.NewExec(prog, engine.Options{StackDepth: depth}))
 	}
 	if err != nil {
 		t.Fatalf("parser %s: %v", l.Name, err)
@@ -139,16 +131,14 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 		for di, doc := range docs {
 			for _, chunk := range []int{0, 1, 7} {
 				want, wantErr := parseWith(t, l, cm, simMode, []byte(doc), chunk, 0)
-				for _, mode := range []runMode{engineMode, bulkMode} {
-					got, gotErr := parseWith(t, l, cm, mode, []byte(doc), chunk, 0)
-					if errString(gotErr) != errString(wantErr) {
-						t.Errorf("%s doc %d chunk %d [%s]: err %q, sim %q",
-							l.Name, di, chunk, mode, errString(gotErr), errString(wantErr))
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s doc %d chunk %d [%s]: outcome\n got %+v\nwant %+v",
-							l.Name, di, chunk, mode, got, want)
-					}
+				got, gotErr := parseWith(t, l, cm, engineMode, []byte(doc), chunk, 0)
+				if errString(gotErr) != errString(wantErr) {
+					t.Errorf("%s doc %d chunk %d: err %q, sim %q",
+						l.Name, di, chunk, errString(gotErr), errString(wantErr))
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s doc %d chunk %d: outcome\n got %+v\nwant %+v",
+						l.Name, di, chunk, got, want)
 				}
 			}
 		}
@@ -156,7 +146,7 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 }
 
 // Depth overflows must answer the same error class (serve maps it to
-// 422) with the same string, at every chunking, on both engine paths.
+// 422) with the same string on the engine as on the simulator.
 func TestEngineDifferentialDepthOverflow(t *testing.T) {
 	l := lang.JSON()
 	cm, err := l.Compile(compile.OptAll)
@@ -169,17 +159,15 @@ func TestEngineDifferentialDepthOverflow(t *testing.T) {
 		if wantErr == nil || !errors.Is(wantErr, core.ErrStackOverflow) {
 			t.Fatalf("depth %d: sim did not overflow: %v", depth, wantErr)
 		}
-		for _, mode := range []runMode{engineMode, bulkMode} {
-			got, gotErr := parseWith(t, l, cm, mode, deep, 3, depth)
-			if !errors.Is(gotErr, core.ErrStackOverflow) {
-				t.Fatalf("depth %d [%s]: error class %v", depth, mode, gotErr)
-			}
-			if errString(gotErr) != errString(wantErr) {
-				t.Errorf("depth %d [%s]: err %q, sim %q", depth, mode, errString(gotErr), errString(wantErr))
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("depth %d [%s]: outcome\n got %+v\nwant %+v", depth, mode, got, want)
-			}
+		got, gotErr := parseWith(t, l, cm, engineMode, deep, 3, depth)
+		if !errors.Is(gotErr, core.ErrStackOverflow) {
+			t.Fatalf("depth %d: engine error class %v", depth, gotErr)
+		}
+		if errString(gotErr) != errString(wantErr) {
+			t.Errorf("depth %d: err %q, sim %q", depth, errString(gotErr), errString(wantErr))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("depth %d: outcome\n got %+v\nwant %+v", depth, got, want)
 		}
 	}
 }
@@ -289,9 +277,7 @@ func TestEngineDifferentialCheckpointInterop(t *testing.T) {
 		if mode == simMode {
 			p, err = stream.NewParser(l, cm, core.ExecOptions{})
 		} else {
-			x := engine.NewExec(prog, engine.Options{})
-			p, err = stream.NewParserBackend(l, cm, x)
-			p.SetRunner(x.FeedAll)
+			p, err = stream.NewParserBackend(l, cm, engine.NewExec(prog, engine.Options{}))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -302,7 +288,7 @@ func TestEngineDifferentialCheckpointInterop(t *testing.T) {
 	for _, dir := range []struct {
 		name     string
 		from, to runMode
-	}{{"engine->sim", bulkMode, simMode}, {"sim->engine", simMode, bulkMode}} {
+	}{{"engine->sim", engineMode, simMode}, {"sim->engine", simMode, engineMode}} {
 		src := newParser(dir.from)
 		if _, err := src.Write(doc[:cut]); err != nil {
 			t.Fatalf("%s: write: %v", dir.name, err)
@@ -327,7 +313,7 @@ func TestEngineDifferentialCheckpointInterop(t *testing.T) {
 	}
 
 	// A corrupted snapshot is refused by the engine backend too.
-	src := newParser(bulkMode)
+	src := newParser(engineMode)
 	if _, err := src.Write(doc[:cut]); err != nil {
 		t.Fatal(err)
 	}
@@ -336,94 +322,9 @@ func TestEngineDifferentialCheckpointInterop(t *testing.T) {
 	cp.Exec.Cur = core.StateID(prog.NumStates() + 40)
 	cp.Exec.Seal()
 	cp.Seal()
-	dst := newParser(bulkMode)
+	dst := newParser(engineMode)
 	if err := dst.Restore(&cp); !errors.Is(err, core.ErrCheckpointCorrupt) {
 		t.Fatalf("out-of-range restore: %v, want ErrCheckpointCorrupt", err)
-	}
-}
-
-// Batched lockstep execution must match single-lane execution lane for
-// lane, with short lanes retiring early.
-func TestEngineBatchMatchesSingleLane(t *testing.T) {
-	l := lang.JSON()
-	cm, err := l.Compile(compile.OptAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := cm.Engine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lx, err := l.Lexer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs := []string{
-		`{"a": [1, 2, 3]}`,
-		`[]`,
-		``,
-		`{"deep": [[[[[1]]]]], "x": null}`,
-		`{"bad" 1}`,
-		`[true, false, ` + strings.Repeat(`[`, 40) + `1` + strings.Repeat(`]`, 40) + `]`,
-	}
-	codesOf := func(doc string) []core.Symbol {
-		toks, _, err := lx.Tokenize([]byte(doc))
-		if err != nil {
-			t.Fatalf("tokenize %q: %v", doc, err)
-		}
-		var codes []core.Symbol
-		for _, tk := range toks {
-			sym := l.Grammar.Lookup(tk.Name)
-			c, ok := cm.Tokens.Code(sym)
-			if !ok {
-				t.Fatalf("no code for %q", tk.Name)
-			}
-			codes = append(codes, c)
-		}
-		return append(codes, compile.EndCode)
-	}
-
-	// Lanes at a tiny stack depth so one lane faults mid-batch.
-	depth := 8
-	b := engine.NewBatch()
-	var lanes []*engine.Exec
-	for _, doc := range docs {
-		x := engine.NewExec(prog, engine.Options{StackDepth: depth})
-		lanes = append(lanes, x)
-		b.Add(x, codesOf(doc))
-	}
-	if b.Lanes() != len(docs) {
-		t.Fatalf("lanes = %d, want %d", b.Lanes(), len(docs))
-	}
-	b.Run()
-
-	for i, doc := range docs {
-		solo := engine.NewExec(prog, engine.Options{StackDepth: depth})
-		fed, jammed, err := solo.FeedAll(codesOf(doc))
-		st := b.Status(i)
-		if st.Fed != fed || st.Jammed != jammed || errString(st.Err) != errString(err) {
-			t.Errorf("doc %d: lane (%d,%v,%q) vs solo (%d,%v,%q)",
-				i, st.Fed, st.Jammed, errString(st.Err), fed, jammed, errString(err))
-		}
-		if got, want := lanes[i].Result(), solo.Result(); !reflect.DeepEqual(got, want) {
-			t.Errorf("doc %d: lane result\n got %+v\nwant %+v", i, got, want)
-		}
-	}
-
-	// Reused batch: Reset and run a second wave on reset execs.
-	b.Reset()
-	if b.Lanes() != 0 {
-		t.Fatalf("lanes after Reset = %d", b.Lanes())
-	}
-	x := lanes[0]
-	x.Reset()
-	b.Add(x, codesOf(`{"second": "wave"}`))
-	b.Run()
-	if st := b.Status(0); st.Err != nil || st.Jammed {
-		t.Fatalf("second wave: %+v", st)
-	}
-	if !x.InAccept() {
-		t.Fatal("second wave did not accept")
 	}
 }
 

@@ -19,10 +19,10 @@
 //   - No hooks, no fault injector, no per-cycle accounting beyond the
 //     counters core.Result requires. The hot loop touches five parallel
 //     arrays indexed by state ID.
-//   - Executions are poolable and batchable: many documents sharing one
-//     Program step in lockstep lanes (see Batch), which is how the
-//     serving layer amortizes dispatch overhead across concurrent
-//     requests.
+//   - Executions are poolable: Reset rewinds one without reallocating,
+//     so each pooled serving parser owns one Exec and runs every chunk
+//     through a single FeedAll call. Concurrent requests share only the
+//     read-only Program.
 //
 // The simulator remains the ground truth: EXPERIMENTS.md numbers come
 // from core/arch, and internal/serve falls back to it whenever a

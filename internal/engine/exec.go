@@ -191,19 +191,13 @@ func (e *Exec) Feed(sym core.Symbol) (bool, error) {
 // FeedAll consumes codes in order — drain ε-moves, feed, per symbol —
 // and reports how many were consumed, whether the machine jammed on
 // codes[fed], and any machine fault (the faulting symbol stays
-// uncounted). It is the single-lane bulk path: stream.Runner-shaped, so
-// an uncontended request skips batch enrollment entirely.
-func (e *Exec) FeedAll(codes []core.Symbol) (fed int, jammed bool, err error) {
-	return e.feedSpan(codes)
-}
-
-// feedSpan is the fused hot loop behind FeedAll and Batch.Run: the
-// drain/feed sequence of the stepping functions above with the
-// execution state held in locals, written back once per call instead of
-// once per activation. Its observable behavior — counters, error
-// classes, error strings, state left behind — is exactly that of
+// uncounted). It is the fused hot loop stream.Parser runs once per
+// chunk: the drain/feed sequence of the stepping functions above with
+// the execution state held in locals, written back once per call
+// instead of once per activation. Its observable behavior — counters,
+// error classes, error strings, state left behind — is exactly that of
 // DrainEpsilon+Feed per symbol; the differential suite pins this.
-func (e *Exec) feedSpan(codes []core.Symbol) (fed int, jammed bool, err error) {
+func (e *Exec) FeedAll(codes []core.Symbol) (fed int, jammed bool, err error) {
 	if e.collect {
 		// Report collection needs the per-activation position, so the
 		// rare collecting path takes the plain stepping functions.
@@ -314,7 +308,7 @@ loop:
 	return fed, jammed, err
 }
 
-// feedSlow is feedSpan through the plain stepping functions, used when
+// feedSlow is FeedAll through the plain stepping functions, used when
 // report collection needs per-activation state.
 func (e *Exec) feedSlow(codes []core.Symbol) (fed int, jammed bool, err error) {
 	for i, c := range codes {

@@ -4,8 +4,7 @@ package engine_test
 // under coverage guidance: an arbitrary document, parsed at arbitrary
 // chunk boundaries under an arbitrary stack depth, must produce the
 // same outcome, counters, and error string through the engine backend
-// (both the per-token path and the bulk Runner path) as through the
-// cycle-accurate simulator. A second selector exercises the machine
+// as through the cycle-accurate simulator. A second selector exercises the machine
 // level directly on the palindrome hDPDA, where the raw bytes are the
 // input symbols. Run via `make fuzz`; seeds run on plain `go test`.
 
@@ -58,20 +57,14 @@ func fuzzSetup(t testing.TB) ([]fuzzLang, *engine.Program) {
 }
 
 // fuzzParse runs doc through a streaming parse, chunked by the rng
-// stream, on the selected backend (0 = simulator, 1 = engine per-token,
-// 2 = engine bulk Runner).
-func fuzzParse(t testing.TB, fl fuzzLang, mode int, doc []byte, seed uint64, depth int) (stream.Outcome, error) {
+// stream, on the simulator or the engine backend.
+func fuzzParse(t testing.TB, fl fuzzLang, sim bool, doc []byte, seed uint64, depth int) (stream.Outcome, error) {
 	var p *stream.Parser
 	var err error
-	switch mode {
-	case 0:
+	if sim {
 		p, err = stream.NewParser(fl.l, fl.cm, core.ExecOptions{StackDepth: depth})
-	default:
-		x := engine.NewExec(fl.prog, engine.Options{StackDepth: depth})
-		p, err = stream.NewParserBackend(fl.l, fl.cm, x)
-		if err == nil && mode == 2 {
-			p.SetRunner(x.FeedAll)
-		}
+	} else {
+		p, err = stream.NewParserBackend(fl.l, fl.cm, engine.NewExec(fl.prog, engine.Options{StackDepth: depth}))
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -142,17 +135,15 @@ func FuzzEngineDifferential(f *testing.F) {
 		}
 
 		fl := langs[int(sel%3)%len(langs)]
-		want, wantErr := fuzzParse(t, fl, 0, doc, seed, depth)
-		for mode := 1; mode <= 2; mode++ {
-			got, gotErr := fuzzParse(t, fl, mode, doc, seed, depth)
-			if errString(gotErr) != errString(wantErr) {
-				t.Fatalf("%s mode %d err: engine %q, sim %q (doc %q seed %d depth %d)",
-					fl.l.Name, mode, errString(gotErr), errString(wantErr), doc, seed, depth)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s mode %d outcome: engine %+v, sim %+v (doc %q seed %d depth %d)",
-					fl.l.Name, mode, got, want, doc, seed, depth)
-			}
+		want, wantErr := fuzzParse(t, fl, true, doc, seed, depth)
+		got, gotErr := fuzzParse(t, fl, false, doc, seed, depth)
+		if errString(gotErr) != errString(wantErr) {
+			t.Fatalf("%s err: engine %q, sim %q (doc %q seed %d depth %d)",
+				fl.l.Name, errString(gotErr), errString(wantErr), doc, seed, depth)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s outcome: engine %+v, sim %+v (doc %q seed %d depth %d)",
+				fl.l.Name, got, want, doc, seed, depth)
 		}
 	})
 }

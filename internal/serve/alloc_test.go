@@ -21,8 +21,8 @@ const steadyStateAllocBudget = 8
 // warmup, a parse performs zero grammar compiles and at most a fixed
 // small number of allocations, independent of how many requests ran.
 // Both execution backends are held to the same ceiling — the fast-path
-// engine (pooled Execs, standing batch tickets) must not buy its speed
-// with per-request garbage.
+// engine (one pooled Exec per parser) must not buy its speed with
+// per-request garbage.
 func TestParseSteadyStateAllocs(t *testing.T) {
 	for _, eng := range []string{EngineFast, EngineSim} {
 		t.Run(eng, func(t *testing.T) { testParseSteadyStateAllocs(t, eng) })

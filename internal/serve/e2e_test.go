@@ -124,9 +124,8 @@ func xmlDoc(n int) []byte {
 // on every machine-side field. Run under -race this also proves the
 // pooled parsers never share state across concurrent requests.
 func TestE2EConcurrentChunked(t *testing.T) {
-	// Both execution backends answer identically; the fast path
-	// additionally exercises the lockstep wave batcher under the
-	// concurrent clients below.
+	// Both execution backends answer identically; on the fast path the
+	// concurrent clients below each run on their own pooled engine.Exec.
 	for _, eng := range []string{EngineFast, EngineSim} {
 		t.Run(eng, func(t *testing.T) { testE2EConcurrentChunked(t, eng) })
 	}
@@ -195,11 +194,13 @@ func testE2EConcurrentChunked(t *testing.T, eng string) {
 	if got := snap.Counters["serve_compiles_total"]; got != 2 {
 		t.Errorf("serve_compiles_total = %d, want 2 (startup only)", got)
 	}
+	for _, gi := range s.Grammars() {
+		if gi.Engine != eng {
+			t.Errorf("%s: /v1/grammars engine = %q, want %q", gi.Name, gi.Engine, eng)
+		}
+	}
 	switch eng {
 	case EngineFast:
-		if got := snap.Counters["engine_batches_total"]; got == 0 {
-			t.Error("engine_batches_total = 0: fast-path requests never reached the batcher")
-		}
 		for _, reason := range []string{"config", "chaos", "compile"} {
 			name := telemetry.LabeledName("engine_fallback_total", "reason", reason)
 			if got := snap.Counters[name]; got != 0 {
@@ -210,9 +211,6 @@ func testE2EConcurrentChunked(t *testing.T, eng string) {
 		name := telemetry.LabeledName("engine_fallback_total", "reason", "config")
 		if got := snap.Counters[name]; got != wantTotal {
 			t.Errorf("%s = %d, want %d (every request pinned to the simulator)", name, got, wantTotal)
-		}
-		if got := snap.Counters["engine_batches_total"]; got != 0 {
-			t.Errorf("engine_batches_total = %d, want 0 under -engine=sim", got)
 		}
 	}
 }

@@ -1,23 +1,13 @@
 package serve
 
-import (
-	"fmt"
-	"sync"
-
-	"aspen/internal/core"
-	"aspen/internal/engine"
-)
+import "fmt"
 
 // Fast-path dispatch. With Options.Engine = EngineFast (the default),
 // each grammar's pooled parsers run on internal/engine's lowered
-// transition tables instead of the cycle-accurate simulator, and
-// concurrent requests for the same grammar execute in lockstep batch
-// lanes: the first parser to submit a chunk becomes the wave leader, it
-// batches its own lane with every lane that queued behind it, runs the
-// wave via engine.Batch, publishes per-lane results, and hands
-// leadership to the next queued lane — so no request ever leads more
-// than one wave, and a solo request skips batch bookkeeping entirely
-// (plain FeedAll under the leadership flag).
+// transition tables instead of the cycle-accurate simulator. Every
+// request runs on its own pooled parser and engine.Exec, one FeedAll
+// call per chunk; concurrent requests share only the read-only
+// engine.Program (DESIGN.md §11 says why serving is single-lane).
 //
 // The simulator remains ground truth and keeps three jobs, each counted
 // on engine_fallback_total{reason}: Engine = EngineSim pins every
@@ -43,109 +33,4 @@ func ParseEngine(s string) (string, error) {
 		return EngineSim, nil
 	}
 	return "", fmt.Errorf("unknown engine %q (valid: fast, sim)", s)
-}
-
-// engineJob is one parser's standing enrollment ticket: allocated once
-// with the parser, reused for every chunk it submits. The fields past
-// codes are the lane outcome, written by the wave leader and read by
-// the owner after done fires (or by the owner itself when it leads).
-type engineJob struct {
-	x     *engine.Exec
-	codes []core.Symbol
-
-	fed    int
-	jammed bool
-	err    error
-
-	// lead is set (instead of an outcome) when the leader hands this
-	// queued job the reign: its lane was not run, it must lead the next
-	// wave itself.
-	lead bool
-	done chan struct{} // cap 1; owner drains it before every reuse
-}
-
-// engineBatcher is a grammar's lockstep wave scheduler.
-type engineBatcher struct {
-	em *engineMetrics
-
-	mu      sync.Mutex
-	leading bool         // a leader is running a wave
-	pending []*engineJob // lanes queued behind it
-
-	// Leader-owned scratch, guarded by leadership (exactly one leader
-	// exists while leading is set), not by mu.
-	batch *engine.Batch
-	wave  []*engineJob
-}
-
-func newEngineBatcher(em *engineMetrics) *engineBatcher {
-	return &engineBatcher{em: em, batch: engine.NewBatch()}
-}
-
-// run executes codes on j.x and reports the stream.Runner triple. The
-// calling goroutine either leads a wave (batching every queued lane
-// with its own) or parks until a leader delivers its lane's outcome —
-// or the reign. Steady state allocates nothing: the wave and pending
-// slices keep their capacity, and a solo lane is a plain FeedAll.
-func (b *engineBatcher) run(j *engineJob, codes []core.Symbol) (int, bool, error) {
-	j.codes = codes
-	b.mu.Lock()
-	if b.leading {
-		b.pending = append(b.pending, j)
-		b.mu.Unlock()
-		<-j.done
-		if !j.lead {
-			return j.fed, j.jammed, j.err
-		}
-		j.lead = false // promoted: lead the next wave ourselves
-	} else {
-		b.leading = true
-		b.mu.Unlock()
-	}
-
-	// Leader: batch our lane with everything queued so far.
-	b.mu.Lock()
-	wave := append(b.wave[:0], j)
-	wave = append(wave, b.pending...)
-	b.pending = b.pending[:0]
-	b.mu.Unlock()
-
-	if len(wave) == 1 {
-		j.fed, j.jammed, j.err = j.x.FeedAll(j.codes)
-	} else {
-		bt := b.batch
-		bt.Reset()
-		for _, w := range wave {
-			bt.Add(w.x, w.codes)
-		}
-		bt.Run()
-		for i, w := range wave {
-			st := bt.Status(i)
-			w.fed, w.jammed, w.err = st.Fed, st.Jammed, st.Err
-		}
-	}
-	b.em.observe(len(wave))
-	b.wave = wave[:0]
-
-	// Hand the reign to the next queued lane — it leads the next wave,
-	// so no request works on others' behalf for more than one wave — or
-	// release it. Wake the wave only after the handoff is decided so a
-	// woken lane re-submitting immediately queues behind the new leader.
-	b.mu.Lock()
-	var next *engineJob
-	if len(b.pending) > 0 {
-		next = b.pending[0]
-		b.pending = append(b.pending[:0], b.pending[1:]...)
-		next.lead = true
-	} else {
-		b.leading = false
-	}
-	b.mu.Unlock()
-	for _, w := range wave[1:] {
-		w.done <- struct{}{}
-	}
-	if next != nil {
-		next.done <- struct{}{}
-	}
-	return j.fed, j.jammed, j.err
 }

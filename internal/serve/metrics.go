@@ -80,8 +80,8 @@ type serviceMetrics struct {
 	journalReplay   *telemetry.Gauge
 	journalCommitNS *telemetry.Histogram
 
-	// Fast-path dispatch series (engine.go). Registered unconditionally:
-	// flat zeros under -engine=sim keep dashboards stable either way.
+	// Fast-path dispatch series (engine.go). Registered unconditionally,
+	// so dashboards see the same series under either -engine.
 	engine engineMetrics
 
 	// Upload-admission verdicts (admin.go): admissions by format,
@@ -96,23 +96,12 @@ type serviceMetrics struct {
 	errByCode map[int]*telemetry.Counter
 }
 
-// engineMetrics are the fast-path dispatch series: wave occupancy for
-// the lockstep batcher, and the simulator-fallback tallies by reason.
+// engineMetrics are the fast-path dispatch series: the
+// simulator-fallback tallies by reason.
 type engineMetrics struct {
-	occupancy *telemetry.Gauge   // lanes in the most recent wave
-	batches   *telemetry.Counter // waves run
-	lanes     *telemetry.Counter // lane-chunks across all waves (lanes/batches = mean occupancy)
-
 	fbConfig  *telemetry.Counter // -engine=sim pinned the request to the simulator
 	fbChaos   *telemetry.Counter // guarded parse: detection needs execution hooks
 	fbCompile *telemetry.Counter // machine could not be lowered to engine tables
-}
-
-// observe records one completed wave.
-func (em *engineMetrics) observe(lanes int) {
-	em.occupancy.SetInt(int64(lanes))
-	em.batches.Inc()
-	em.lanes.Add(int64(lanes))
 }
 
 func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
@@ -121,9 +110,6 @@ func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 			"requests served by the simulator instead of the fast-path engine, by reason")
 	}
 	return engineMetrics{
-		occupancy: reg.Gauge("engine_batch_occupancy", "lanes in the most recent fast-path batch wave"),
-		batches:   reg.Counter("engine_batches_total", "fast-path lockstep waves run"),
-		lanes:     reg.Counter("engine_batch_lanes_total", "lane-chunks executed across all fast-path waves"),
 		fbConfig:  fb("config"),
 		fbChaos:   fb("chaos"),
 		fbCompile: fb("compile"),

@@ -38,14 +38,13 @@ type grammarEntry struct {
 	parsers sync.Pool
 
 	// Fast-path engine (engine.go). prog is the lowered program the
-	// parser pool runs on (nil = the pool runs the simulator), batcher
-	// the grammar's lockstep wave scheduler, em the shared dispatch
-	// series. fallback, when non-nil, is the reason counter bumped per
-	// unguarded request the pool serves on the simulator ("config" or
-	// "compile"); wantEngine records that the operator asked for the
-	// fast path (so guarded parses count reason "chaos").
+	// parser pool runs on (nil = the pool runs the simulator), em the
+	// shared dispatch series. fallback, when non-nil, is the reason
+	// counter bumped per unguarded request the pool serves on the
+	// simulator ("config" or "compile"); wantEngine records that the
+	// operator asked for the fast path (so guarded parses count reason
+	// "chaos").
 	prog       *engine.Program
-	batcher    *engineBatcher
 	em         *engineMetrics
 	fallback   *telemetry.Counter
 	wantEngine bool
@@ -246,7 +245,6 @@ func newGrammarEntry(s *Server, l *lang.Language, fabricShare int) (*grammarEntr
 		g.fallback = g.em.fbCompile
 	} else {
 		g.prog = prog
-		g.batcher = newEngineBatcher(g.em)
 	}
 	// Overload plumbing: the cost heuristic needs the lowered table
 	// footprint, so it is computed after the engine decision above. The
@@ -264,17 +262,7 @@ func newGrammarEntry(s *Server, l *lang.Language, fabricShare int) (*grammarEntr
 		var p *stream.Parser
 		var err error
 		if g.prog != nil {
-			// Engine-backed parser: its Exec enrolls chunks into the
-			// grammar's wave batcher through a standing job ticket (one
-			// per pooled parser, allocated here, reused per chunk).
-			x := engine.NewExec(g.prog, engine.Options{})
-			p, err = stream.NewParserBackend(g.lang, g.cm, x)
-			if err == nil {
-				j := &engineJob{x: x, done: make(chan struct{}, 1)}
-				p.SetRunner(func(codes []core.Symbol) (int, bool, error) {
-					return g.batcher.run(j, codes)
-				})
-			}
+			p, err = stream.NewParserBackend(g.lang, g.cm, engine.NewExec(g.prog, engine.Options{}))
 		} else {
 			p, err = stream.NewParser(g.lang, g.cm, core.ExecOptions{})
 		}

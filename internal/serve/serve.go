@@ -96,9 +96,9 @@ type Options struct {
 	// every request).
 	TraceSample int
 	// Engine selects the request-path execution backend: EngineFast
-	// (the default; "" normalizes to it) routes pooled parses through
-	// internal/engine's lowered tables with lockstep batching,
-	// EngineSim pins everything to the cycle-accurate simulator.
+	// (the default; "" normalizes to it) runs each pooled parse on its
+	// own engine.Exec over internal/engine's lowered tables, EngineSim
+	// pins everything to the cycle-accurate simulator.
 	// Guarded parses (Chaos with a verify mode) always run the
 	// simulator — detection needs execution hooks — and every
 	// simulator-served request is counted on

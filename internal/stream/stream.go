@@ -24,23 +24,27 @@ import (
 // path lowered into flat tables). They are semantically interchangeable
 // — byte-identical outcomes, error classes, and checkpoints — which the
 // engine's differential tests pin.
+//
+// FeedAll is how the Parser feeds the machine, once per chunk and once
+// for the endmarker: drain ε-moves, then feed, for each code in order,
+// reporting how many codes were consumed, whether the machine jammed on
+// codes[fed], and any machine fault (the faulting code stays
+// uncounted).
 type Backend interface {
 	Reset()
 	DrainEpsilon() (int, error)
-	Feed(core.Symbol) (bool, error)
+	FeedAll(codes []core.Symbol) (fed int, jammed bool, err error)
 	InAccept() bool
 	Result() core.Result
 	Checkpoint(*core.Checkpoint)
 	Restore(*core.Checkpoint) error
 }
 
-// Runner is a bulk token-feed hook (see SetRunner): it consumes codes
-// through the parser's backend — possibly batched in lockstep with
-// other parsers sharing the grammar — and reports how many symbols were
-// consumed, whether the machine jammed on codes[fed], and any machine
-// fault. The per-symbol contract must match the default loop: drain
-// ε-moves, then feed, for each code in order.
+// Runner has the shape of Backend.FeedAll (see SetRunner).
 type Runner func(codes []core.Symbol) (fed int, jammed bool, err error)
+
+// endCodes is the endmarker Close feeds after the last token.
+var endCodes = []core.Symbol{compile.EndCode}
 
 // Parser is an incremental lex+parse pipeline.
 type Parser struct {
@@ -48,14 +52,14 @@ type Parser struct {
 	cm   *compile.Compiled
 	lx   *lexer.Lexer
 	exec Backend
-	run  Runner
+	run  Runner // exec.FeedAll unless SetRunner replaced it
 	mfp  uint64 // machine fingerprint, stamped into checkpoints
 
 	// ruleCodes maps a lexer rule index straight to its machine input
 	// code (-1 = not a terminal), replacing two map lookups per token
 	// on the feed path.
 	ruleCodes []int16
-	codes     []core.Symbol // per-chunk code scratch for the Runner path
+	codes     []core.Symbol // per-chunk code scratch, reused across Writes
 
 	mode   string
 	tail   []byte        // bytes not yet safely tokenized
@@ -170,16 +174,16 @@ func NewParserBackend(l *lang.Language, cm *compile.Compiled, b Backend) (*Parse
 	return &Parser{
 		l: l, cm: cm, lx: lx,
 		exec:      b,
+		run:       b.FeedAll,
 		ruleCodes: rc,
 		mfp:       cm.Machine.Fingerprint(),
 		mode:      lexer.DefaultMode,
 	}, nil
 }
 
-// SetRunner installs a bulk feed hook: each chunk's token codes are
-// handed to run in one call instead of the default per-token loop. The
-// serving layer uses this to enroll the parser's engine backend into a
-// per-grammar lockstep batch. Call before the first Write.
+// SetRunner replaces the function each chunk's codes are fed through,
+// which defaults to the backend's FeedAll; run must keep FeedAll's
+// contract on the same backend. Call before the first Write.
 func (p *Parser) SetRunner(run Runner) { p.run = run }
 
 // Execution exposes the underlying machine execution for observers
@@ -242,7 +246,7 @@ func (p *Parser) Write(chunk []byte) (int, error) {
 		p.err = p.locate(err)
 		return 0, p.err
 	}
-	if ferr := p.feed(toks, p.tail); ferr != nil {
+	if ferr := p.feed(toks); ferr != nil {
 		p.err = ferr
 		return 0, p.err
 	}
@@ -273,7 +277,7 @@ func (p *Parser) Close() (Outcome, error) {
 		p.err = p.locate(err)
 		return p.outcome(), p.err
 	}
-	if ferr := p.feed(toks, p.tail); ferr != nil {
+	if ferr := p.feed(toks); ferr != nil {
 		p.err = ferr
 		return p.outcome(), p.err
 	}
@@ -281,57 +285,23 @@ func (p *Parser) Close() (Outcome, error) {
 	p.tail = nil
 	// Endmarker + trailing ε-moves.
 	if !p.jammed {
-		if _, err := p.exec.DrainEpsilon(); err != nil {
-			p.err = err
-			return p.outcome(), err
+		_, jammed, err := p.run(endCodes)
+		if err == nil && !jammed {
+			_, err = p.exec.DrainEpsilon()
 		}
-		ok, err := p.exec.Feed(compile.EndCode)
 		if err != nil {
 			p.err = err
 			return p.outcome(), err
 		}
-		if !ok {
+		if jammed {
 			p.jammed = true
 			p.jamPos = p.offset
-		} else if _, err := p.exec.DrainEpsilon(); err != nil {
-			p.err = err
-			return p.outcome(), err
 		}
 	}
 	if p.tm != nil {
 		p.sync()
 	}
 	return p.outcome(), nil
-}
-
-// feed pushes tokens through the machine.
-func (p *Parser) feed(toks []lexer.Token, buf []byte) error {
-	if p.jammed {
-		return nil
-	}
-	if p.run != nil {
-		return p.feedBulk(toks)
-	}
-	for _, tk := range toks {
-		code, ok := p.tokenCode(tk)
-		if !ok {
-			return fmt.Errorf("stream: token %q is not a terminal", tk.Name)
-		}
-		if _, err := p.exec.DrainEpsilon(); err != nil {
-			return err
-		}
-		fed, err := p.exec.Feed(code)
-		if err != nil {
-			return err
-		}
-		p.tokens++
-		if !fed {
-			p.jammed = true
-			p.jamPos = p.offset + tk.Start
-			return nil
-		}
-	}
-	return nil
 }
 
 // tokenCode resolves a token's machine input code through the
@@ -345,15 +315,16 @@ func (p *Parser) tokenCode(tk lexer.Token) (core.Symbol, bool) {
 	return 0, false
 }
 
-// feedBulk is the Runner path: translate the chunk's tokens to codes up
-// front and consume them in one call. The per-token accounting is
-// identical to the default loop — fed symbols count, a jamming token
-// counts and records its position, a machine fault leaves the faulting
-// token uncounted — so the two paths produce byte-identical outcomes.
-// A non-terminal token truncates the translated prefix: the prefix is
-// consumed first, and the error surfaces only if the machine got
-// through it, exactly where the per-token loop would have raised it.
-func (p *Parser) feedBulk(toks []lexer.Token) error {
+// feed translates a chunk's tokens to machine codes and consumes them
+// in one run call. A fed token counts; a jamming token counts and
+// records its position; a machine fault leaves the faulting token
+// uncounted. A non-terminal token truncates the translated prefix: the
+// prefix is consumed first, and the error surfaces only if the machine
+// got through it.
+func (p *Parser) feed(toks []lexer.Token) error {
+	if p.jammed {
+		return nil
+	}
 	codes := p.codes[:0]
 	bad := -1
 	for i, tk := range toks {

@@ -89,10 +89,14 @@ echo "$metrics" | grep -q '^serve_requests_total 1$' ||
     fail "/metrics missing serve_requests_total 1"
 echo "$metrics" | grep -q 'serve_phase_ns_bucket{grammar="JSON",phase="parse",le="' ||
     fail "/metrics missing per-phase latency histograms"
-# Fast-path engine dispatch surfaces: the batch-occupancy gauge and the
-# per-reason fallback counters are registered whichever backend serves.
-echo "$metrics" | grep -q '^engine_batch_occupancy ' ||
-    fail "/metrics missing engine_batch_occupancy"
+# Fast-path engine dispatch: JSON runs on the lowered engine (the
+# default backend), and the per-reason fallback counters are registered
+# whichever backend serves.
+grammars=$(get "http://$addr/v1/grammars") || fail "/v1/grammars unreachable"
+json_engine=$(echo "$grammars" |
+    awk '/"name": "JSON"/ { g = 1 } g && /"engine":/ { print; exit }')
+echo "$json_engine" | grep -q '"engine": "fast"' ||
+    fail "/v1/grammars does not report engine fast for JSON: $json_engine"
 echo "$metrics" | grep -q '^engine_fallback_total{reason="config"} ' ||
     fail "/metrics missing engine_fallback_total{reason=...}"
 # Overload-control surfaces: sheds by reason, the AIMD concurrency
