@@ -1,8 +1,8 @@
 // Command aspend is the ASPEN parsing daemon: a multi-tenant HTTP
 // service that loads named grammars once at startup (compiled to hDPDAs
 // and placed onto the simulated bank fabric) and serves streaming parse
-// jobs with bank-derived concurrency, bounded admission queues, and
-// graceful drain.
+// jobs with bank-derived concurrency, bounded per-tenant waiting rooms,
+// and graceful drain.
 //
 // Usage:
 //
@@ -32,21 +32,21 @@
 // which a request is retained in its notable ring.
 //
 // Overload control: every 429 (full waiting room, deadline shed, or
-// brownout) carries Retry-After and counts in shed_total{reason=}; an
-// AIMD limiter (-latency-target) bounds global parse concurrency with
-// per-tenant weighted-fair queuing in front of it, weighted by each
-// grammar's proven machine cost (admin "weight" op overrides); and
+// brownout) carries Retry-After and counts in shed_total{reason=}; one
+// weighted-fair scheduler admits every parse, holding each tenant to
+// its bank-derived width (-workers), its waiting room (-queue) and the
+// AIMD limit on global parse concurrency (-latency-target), weighted by
+// each grammar's proven machine cost (admin "weight" op overrides); and
 // -brownout arms the degraded ladder that sheds the cheapest tenants
 // first when the limiter collapses.
 //
-// A full admission queue answers 429 with Retry-After. SIGINT/SIGTERM
-// starts a graceful drain: new requests get 503, in-flight requests
+// SIGINT/SIGTERM starts a graceful drain: new requests get 503, in-flight requests
 // finish, then the process exits (writing the -metrics snapshot).
 //
 // Chaos mode: -fault-rate injects deterministic transient faults (state
 // bit flips, stuck-at stack columns) into every parse, exercising
 // checkpointed recovery; -kill-bank-after permanently kills one fabric
-// bank per interval, shrinking worker pools and flipping /healthz to
+// bank per interval, narrowing the owning tenant and flipping /healthz to
 // "degraded" (still 200). Detection is oracle-free: -verify-mode picks
 // how silent corruption is caught (scrub = invariant scrubbing on one
 // context; dmr/tmr = redundant execution on disjoint banks, which
@@ -80,8 +80,8 @@ func main() {
 	var (
 		addr        = flag.String("addr", "localhost:8173", "listen address (port 0 = ephemeral, printed on stderr)")
 		langsFlag   = flag.String("langs", "", "comma-separated grammars to load (default: all built-ins)")
-		queue       = flag.Int("queue", serve.DefaultQueueDepth, "per-grammar admission queue depth (waiting room beyond the worker slots)")
-		workers     = flag.Int("workers", 0, "per-grammar worker-slot override (0 = derived from the bank fabric)")
+		queue       = flag.Int("queue", serve.DefaultQueueDepth, "per-grammar waiting room: requests that may wait beyond the running width before the tenant is shed 429")
+		workers     = flag.Int("workers", 0, "per-grammar concurrency width override: requests that may run at once (0 = derived from the bank fabric)")
 		timeout     = flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request deadline, queue wait included")
 		maxBody     = flag.Int64("max-body", serve.DefaultMaxBodyBytes, "maximum request body bytes")
 		fabricBanks = flag.Int("fabric-banks", 0, "total LLC banks the fabric repurposes (0 = paper default)")

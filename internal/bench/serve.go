@@ -104,8 +104,8 @@ func Serve(sizeBytes int) (*Table, []ServeRow) {
 	}
 
 	// Admission-decision overhead, isolated: one goroutine drives the
-	// full admission cycle (snapshot lookup, waiting-room ticket, shed
-	// checks, weighted-fair fast-path token) with no HTTP and no parse.
+	// full admission cycle (snapshot lookup, shed checks, the
+	// scheduler's inline grant) with no HTTP and no parse.
 	// This is the overload layer's per-request tax, and its allocation
 	// count is pinned at zero (TestAdmitCycleAllocs) — a nonzero
 	// allocs/req here is a steady-state fast-path regression.
@@ -132,7 +132,7 @@ func Serve(sizeBytes int) (*Table, []ServeRow) {
 		Notes: []string{
 			fmt.Sprintf("Each grammar is driven at min(contexts, 8) concurrent HTTP clients with %d-byte documents; contexts derive from the grammar's bank share (§IV-C).", sizeBytes),
 			"allocs/req is whole-process (HTTP client included) and so an upper bound on the server's per-request allocation.",
-			"The admit row isolates the admission decision (snapshot lookup, waiting-room ticket, shed checks, weighted-fair token) on one goroutine — no HTTP, no parse; its allocs/req is pinned at zero by TestAdmitCycleAllocs.",
+			"The admit row isolates the admission decision (snapshot lookup, shed checks, the weighted-fair scheduler's inline grant) on one goroutine — no HTTP, no parse; its allocs/req is pinned at zero by TestAdmitCycleAllocs.",
 		},
 	}
 	for _, r := range rows {

@@ -206,6 +206,10 @@ type Router struct {
 	// back to DefaultHedgeDelay).
 	hedgeNS atomic.Int64
 
+	// convMu orders convergence verdicts with their gauge writes (see
+	// refreshConvergence).
+	convMu sync.Mutex
+
 	traceBase uint64
 	idSeq     atomic.Uint64
 
@@ -305,11 +309,7 @@ func (rt *Router) probeAll() {
 		}
 	}
 	rt.m.ready.SetInt(int64(ready))
-	if rt.registryConverged() {
-		rt.m.diverged.SetInt(0)
-	} else {
-		rt.m.diverged.SetInt(1)
-	}
+	rt.refreshConvergence()
 	rt.refreshGray()
 	rt.refreshHedgeDelay()
 }
@@ -362,6 +362,24 @@ func (rt *Router) hedgeDelay() time.Duration {
 		return time.Duration(ns)
 	}
 	return DefaultHedgeDelay
+}
+
+// refreshConvergence computes the registry-convergence verdict and
+// publishes it on fleet_registry_diverged in one step. Member views
+// land as each probe answers, so every reader of the verdict — the
+// probe rounds and /healthz alike — goes through here, serialized so
+// the last verdict computed is the last one written: the gauge never
+// lags a verdict /healthz has already served.
+func (rt *Router) refreshConvergence() bool {
+	rt.convMu.Lock()
+	defer rt.convMu.Unlock()
+	ok := rt.registryConverged()
+	if ok {
+		rt.m.diverged.SetInt(0)
+	} else {
+		rt.m.diverged.SetInt(1)
+	}
+	return ok
 }
 
 // registryConverged reports whether every ready member with a polled
@@ -463,7 +481,7 @@ type RouterHealth struct {
 
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
-	h := RouterHealth{RegistryConverged: rt.registryConverged()}
+	h := RouterHealth{RegistryConverged: rt.refreshConvergence()}
 	for _, m := range rt.members {
 		mh := MemberHealth{Node: m.name, State: stateName(m.state.Load()), Breaker: "closed"}
 		if m.br.open(now) {

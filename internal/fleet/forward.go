@@ -473,9 +473,5 @@ func (rt *Router) probeGrammars() {
 		}(m)
 	}
 	wg.Wait()
-	if rt.registryConverged() {
-		rt.m.diverged.SetInt(0)
-	} else {
-		rt.m.diverged.SetInt(1)
-	}
+	rt.refreshConvergence()
 }

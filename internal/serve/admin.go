@@ -27,8 +27,8 @@ import (
 //     old state; the advisory partition record is written first so the
 //     op record is always the last thing that becomes durable);
 //  4. atomically publish the new snapshot;
-//  5. retire replaced entries: wait for their in-flight requests, then
-//     release their parked-slot goroutines.
+//  5. retire replaced entries once their in-flight requests finish
+//     (readiness dips meanwhile).
 //
 // Requests never block on a mutation: lookups read the snapshot
 // pointer, in-flight work finishes on the entry it started on, and the
@@ -109,13 +109,12 @@ func (s *Server) publish(old, next *tenantSet) {
 	}
 }
 
-// retireEntry releases a replaced entry once its in-flight requests
-// finish (or the server drains, whichever first) by closing its stop
-// channel, which reclaims any parked-slot goroutines. The drainMu
-// write-section is the retirement barrier: the new snapshot was
-// published before this runs, so once the barrier is crossed every
-// later admission resolves the replacement entry — no request can
-// register on g after its Wait begins.
+// retireEntry holds the readiness blip until a replaced entry's
+// in-flight requests finish. The drainMu write-section is the
+// retirement barrier: the new snapshot was published before this runs,
+// so once the barrier is crossed every later admission resolves the
+// replacement entry — no request can register on g after its Wait
+// begins.
 func (s *Server) retireEntry(g *grammarEntry) {
 	// Readiness dips while the retirement is in flight (incremented
 	// here, synchronously, so the mutation's caller observes the blip
@@ -127,16 +126,7 @@ func (s *Server) retireEntry(g *grammarEntry) {
 		s.drainMu.Lock()
 		//lint:ignore SA2001 empty write-section is the barrier itself
 		s.drainMu.Unlock()
-		done := make(chan struct{})
-		go func() {
-			g.inflight.Wait()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-s.stop:
-		}
-		g.closeStop()
+		g.inflight.Wait()
 	}()
 }
 
@@ -172,11 +162,9 @@ func (s *Server) AddGrammar(name string) error {
 		return err
 	}
 	if err := s.journalPartition(next); err != nil {
-		discardTenantSet(next)
 		return err
 	}
 	if err := s.journalAppend(store.Record{Op: store.OpAddGrammar, Name: name}); err != nil {
-		discardTenantSet(next)
 		return err
 	}
 	s.publish(cur, next)
@@ -217,14 +205,12 @@ func (s *Server) UploadGrammar(name, format string, source []byte, lim admit.Lim
 		return nil, err
 	}
 	if err := s.journalPartition(next); err != nil {
-		discardTenantSet(next)
 		return nil, err
 	}
 	if err := s.journalAppend(store.Record{
 		Op: store.OpUpload, Name: name, Format: format, Source: source,
 		MaxStates: lim.MaxStates, MaxDepth: lim.MaxDepth, MaxTableKB: lim.MaxTableKB,
 	}); err != nil {
-		discardTenantSet(next)
 		return nil, err
 	}
 	s.known[name] = res.Language
@@ -262,11 +248,9 @@ func (s *Server) RemoveGrammar(name string) error {
 		return err
 	}
 	if err := s.journalPartition(next); err != nil {
-		discardTenantSet(next)
 		return err
 	}
 	if err := s.journalAppend(store.Record{Op: store.OpRemoveGrammar, Name: name}); err != nil {
-		discardTenantSet(next)
 		return err
 	}
 	s.publish(cur, next)
@@ -293,7 +277,6 @@ func (s *Server) SwapGrammar(name string) error {
 	}
 	next := cloneWith(cur, name, repl)
 	if err := s.journalAppend(store.Record{Op: store.OpSwapGrammar, Name: name}); err != nil {
-		repl.closeStop()
 		return err
 	}
 	s.publish(cur, next)
@@ -316,14 +299,12 @@ func (s *Server) Reload() (int, error) {
 	for _, name := range cur.names {
 		repl, err := s.rebuildEntry(cur.byName[name])
 		if err != nil {
-			discardTenantSet(next)
 			return 0, fmt.Errorf("serve: reload %s: %w", name, err)
 		}
 		next.byName[name] = repl
 	}
 	for _, name := range next.names {
 		if err := s.journalAppend(store.Record{Op: store.OpSwapGrammar, Name: name}); err != nil {
-			discardTenantSet(next)
 			return 0, err
 		}
 	}

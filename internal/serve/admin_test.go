@@ -206,7 +206,7 @@ func TestHitlessSwapZeroDrop(t *testing.T) {
 		t.Fatalf("load generator barely ran: %d requests", snap.Counters["serve_JSON_requests_total"])
 	}
 	// Retired entries must drain: after the load stops, every old
-	// entry's inflight hits zero and its parked-slot goroutines exit.
+	// entry's inflight hits zero and its retirement wait ends.
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestDrainStopsControlPlane(t *testing.T) {
 	}
 
 	// No goroutine left waiting: the probe's unit, the breaker claim,
-	// and all parked-slot goroutines are released. Allow the runtime a
+	// and every retirement wait are released. Allow the runtime a
 	// moment to reap.
 	deadline := time.Now().Add(2 * time.Second)
 	for {

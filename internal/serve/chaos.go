@@ -33,10 +33,9 @@ import (
 // off exponentially with jitter, a request that exhausts its attempts
 // answers 503, and a per-grammar circuit breaker opens after
 // consecutive exhaustions so a poisoned tenant sheds load for a
-// cooldown instead of burning its worker slots. Permanent bank losses
-// additionally shrink the tenant's worker pool to its surviving
-// capacity (never below one slot): the service degrades, it does not
-// die.
+// cooldown instead of burning its contexts. Permanent bank losses
+// additionally lower the tenant's scheduler width to its surviving
+// capacity (never below one): the service degrades, it does not die.
 
 // Chaos defaults.
 const (
@@ -494,55 +493,26 @@ func (b *breaker) failure(now time.Time) {
 	}
 }
 
-// applyBankLoss recomputes this grammar's live capacity and parks
-// worker slots the surviving banks can no longer back. Parking is a
-// goroutine that takes a slot token and holds it forever — banks never
-// revive — so the effective pool shrinks without restructuring the
-// slot channel, and never below one slot (CapacityFor's floor). The
-// goroutine waits for channel capacity under a select against the
-// server's stop signal, so Drain on a busy pool reclaims parkers
-// instead of leaking them (tests create and destroy Servers in-process).
-func (g *grammarEntry) applyBankLoss() {
-	if g.fabric == nil {
-		return
-	}
-	c := g.fabric.CapacityInRange(g.bankLo, g.bankHi, g.unitBanks)
-	g.parkMu.Lock()
-	defer g.parkMu.Unlock()
-	desired := c.Contexts
-	if desired > g.workers {
-		desired = g.workers
-	}
-	if desired < 1 {
-		desired = 1
-	}
-	for g.workers-g.parked > desired {
-		g.parked++
-		go func() {
-			select {
-			case g.slots <- struct{}{}:
-			case <-g.stop:
-			}
-		}()
-	}
-	g.m.workersEffective.SetInt(int64(g.workers - g.parked))
+// applyBankLoss lowers g's scheduler width to the contexts its
+// surviving banks back, never below one (CapacityFor's floor). Nothing
+// is evicted: requests running above the new width finish, and the
+// scheduler grants g nothing until it is back under.
+func (s *Server) applyBankLoss(g *grammarEntry) {
+	c := s.fabric.CapacityInRange(g.bankLo, g.bankHi, g.unitBanks)
+	s.sched.shrink(g.flow, min(c.Contexts, g.workers))
 }
 
-// effectiveWorkers is the worker-slot count the surviving fabric backs.
-func (g *grammarEntry) effectiveWorkers() int {
-	g.parkMu.Lock()
-	defer g.parkMu.Unlock()
-	return g.workers - g.parked
-}
+// effectiveWorkers is the concurrency width the surviving fabric backs.
+func (g *grammarEntry) effectiveWorkers() int { return int(g.flow.width.Load()) }
 
 // Fabric exposes the server's shared bank pool (for chaos drivers and
 // tests).
 func (s *Server) Fabric() *arch.Fabric { return s.fabric }
 
-// KillBank permanently retires one fabric bank, shrinking the worker
-// pool of whichever grammar owned it. It reports whether the bank was
-// alive. In-flight executions guarded by an injector detect the loss
-// and recover onto surviving capacity.
+// KillBank permanently retires one fabric bank, narrowing whichever
+// grammar owned it. It reports whether the bank was alive. In-flight
+// executions guarded by an injector detect the loss and recover onto
+// surviving capacity.
 func (s *Server) KillBank(bank int) bool {
 	if !s.fabric.KillBank(bank) {
 		return false
@@ -550,7 +520,7 @@ func (s *Server) KillBank(bank int) bool {
 	s.m.degraded.SetInt(1)
 	ts := s.tenants.Load()
 	for _, name := range ts.names {
-		ts.byName[name].applyBankLoss()
+		s.applyBankLoss(ts.byName[name])
 	}
 	return true
 }

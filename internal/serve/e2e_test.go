@@ -269,8 +269,8 @@ func TestSaturationBackpressure(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if got := s.Registry().Snapshot().Counters["serve_throttled_total"]; got < 1 {
-		t.Errorf("serve_throttled_total = %d, want ≥ 1", got)
+	if got := s.Registry().Snapshot().Counters[`shed_total{reason="queue"}`]; got < 1 {
+		t.Errorf(`shed_total{reason="queue"} = %d, want ≥ 1`, got)
 	}
 
 	// Release the slot; the slow request completes normally and the

@@ -51,8 +51,8 @@ type HealthResponse struct {
 	Status   string   `json:"status"` // "ok", "degraded", or "draining"
 	Grammars []string `json:"grammars"`
 	UptimeMS int64    `json:"uptimeMs"`
-	// Fabric health: provisioned vs surviving banks, and the worker
-	// slots each grammar still has backing.
+	// Fabric health: provisioned vs surviving banks, and the
+	// concurrency width each grammar still has backing.
 	FabricBanks      int            `json:"fabricBanks"`
 	LiveBanks        int            `json:"liveBanks"`
 	EffectiveWorkers map[string]int `json:"effectiveWorkers"`
@@ -159,23 +159,20 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		if denial.retryAfter != "" {
 			w.Header().Set("Retry-After", denial.retryAfter)
 		}
-		s.writeErr(w, &sp, denial.entry, status, outcomeDenied, denial.msg)
+		s.writeErr(w, &sp, nil, status, outcomeDenied, denial.msg)
 		return
 	}
 	sp.g = g
-	defer g.release()
 	defer s.inflight.Done()
 	defer g.inflight.Done()
 	s.m.requests.Inc()
 	g.m.requests.Inc()
-	s.m.inflight.Add(1)
-	defer s.m.inflight.Add(-1)
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 	defer cancel()
 
-	// Overload control (overload.go), before any queuing: a request the
-	// cost model says cannot finish inside its deadline — or whose
+	// Overload control (overload.go), before the scheduler: a request
+	// the cost model says cannot finish inside its deadline — or whose
 	// tenant the brownout ladder has shed — answers 429 now instead of
 	// burning an execution context to fail later.
 	remaining := s.opts.RequestTimeout
@@ -185,27 +182,25 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if reason := s.overloadCheck(g, r.ContentLength, remaining); reason != "" {
-		s.m.shedTotal[reason].Inc()
-		w.Header().Set("Retry-After", s.retryAfter(g))
-		s.writeErr(w, &sp, g, http.StatusTooManyRequests, outcomeShed,
-			"request shed ("+reason+") for grammar "+g.name)
+		s.shed(w, &sp, g, reason)
 		return
 	}
 
 	start := time.Now()
-	// Two-stage scheduling: a weighted-fair execution token (the global
-	// AIMD-limited pool, arbitrated across tenants by machine cost) and
-	// then this grammar's bank-backed worker slot. Both waits are queue
-	// time.
+	// One scheduler decision (overload.go): run now; wait — queue time
+	// — until the tenant is under its width and the server under the
+	// AIMD limit; or shed when the tenant's waiting room is full.
 	if err := s.sched.acquire(ctx, g.flow); err != nil {
-		s.failCtx(w, &sp, g, err)
+		if errors.Is(err, errRoomFull) {
+			s.shed(w, &sp, g, shedQueue)
+		} else {
+			s.failCtx(w, &sp, g, err)
+		}
 		return
 	}
-	defer s.sched.release()
-	if err := g.acquireSlot(ctx); err != nil {
-		s.failCtx(w, &sp, g, err)
-		return
-	}
+	defer s.sched.release(g.flow)
+	s.m.inflight.Add(1)
+	defer s.m.inflight.Add(-1)
 	queueNS := time.Since(start).Nanoseconds()
 	sp.add(phaseQueue, time.Duration(queueNS))
 	// The parse loop checks ctx between reads, but a stalled client
@@ -214,19 +209,17 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	// and exotic transports may not support it).
 	_ = http.NewResponseController(w).SetReadDeadline(start.Add(s.opts.RequestTimeout))
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	// Durable sessions branch off here: same admission, queueing, and
-	// slot discipline, but the parser state persists across requests
-	// (and restarts) through the checkpoint store.
+	// Durable sessions branch off here: same admission and scheduling,
+	// but the parser state persists across requests (and restarts)
+	// through the checkpoint store.
 	if r.URL.RawQuery != "" {
 		if q := r.URL.Query(); q.Get("session") != "" {
 			final := q.Get("final") == "1" || q.Get("final") == "true"
 			s.serveSession(w, ctx, g, body, q.Get("session"), final, start, queueNS, &sp)
-			g.releaseSlot()
 			return
 		}
 	}
 	out, retries, inputErr, sysErr := g.parseGuarded(ctx, body, &sp)
-	g.releaseSlot()
 	sp.retries = int32(retries)
 	sp.bytes = int64(out.Bytes)
 	parseNS := time.Since(start).Nanoseconds() - queueNS
@@ -292,24 +285,22 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	sp.addSince(phaseRespond, t0)
 }
 
-// admitDenial carries a rejected admission's response pieces. entry is
-// the grammar the denial is attributable to (nil when the name never
-// resolved).
+// admitDenial carries a refused routing decision's response pieces.
 type admitDenial struct {
 	msg        string
 	retryAfter string
-	entry      *grammarEntry
 }
 
-// admitRequest is the serialized admission decision: snapshot lookup,
-// drain check, backpressure, and in-flight registration happen inside
-// one drainMu read-section. The lock is what makes drain and entry
-// retirement sound: every in-flight registration happens-before any
-// Wait on the corresponding wait group (Drain and retireEntry barrier
-// on drainMu's write side), so a request can never slip past a
-// completed drain, and a snapshot entry can never gain a request after
-// its retirement barrier. On success the caller owns one admission
-// ticket and one registration on both s.inflight and g.inflight.
+// admitRequest is the serialized routing decision: snapshot lookup,
+// drain check, and in-flight registration happen inside one drainMu
+// read-section. The lock is what makes drain and entry retirement
+// sound: every in-flight registration happens-before any Wait on the
+// corresponding wait group (Drain and retireEntry barrier on drainMu's
+// write side), so a request can never slip past a completed drain, and
+// a snapshot entry can never gain a request after its retirement
+// barrier. On success the caller owns one registration on both
+// s.inflight and g.inflight; the scheduler decides admit, wait or shed
+// afterwards.
 func (s *Server) admitRequest(name string) (*grammarEntry, int, admitDenial) {
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
@@ -324,20 +315,18 @@ func (s *Server) admitRequest(name string) (*grammarEntry, int, admitDenial) {
 		// treat the denial as terminal.
 		return nil, http.StatusServiceUnavailable, admitDenial{msg: "server is draining", retryAfter: "1"}
 	}
-	// Backpressure: a full waiting room answers immediately instead of
-	// queueing without bound.
-	if err := g.admit(); err != nil {
-		s.m.throttled.Inc()
-		s.m.shedTotal[shedQueue].Inc()
-		return nil, http.StatusTooManyRequests, admitDenial{
-			msg:        "admission queue full for grammar " + g.name,
-			retryAfter: s.retryAfter(g),
-			entry:      g,
-		}
-	}
 	s.inflight.Add(1)
 	g.inflight.Add(1)
 	return g, http.StatusOK, admitDenial{}
+}
+
+// shed answers 429 + Retry-After for a request the scheduler or the
+// overload checks refused, counted on shed_total{reason}.
+func (s *Server) shed(w http.ResponseWriter, sp *span, g *grammarEntry, reason string) {
+	s.m.shedTotal[reason].Inc()
+	w.Header().Set("Retry-After", s.retryAfter(g))
+	s.writeErr(w, sp, g, http.StatusTooManyRequests, outcomeShed,
+		"request shed ("+reason+") for grammar "+g.name)
 }
 
 // writeErr answers a non-2xx response, stamping the span's disposition
@@ -414,13 +403,14 @@ func clampRetrySecs(secs int64) string {
 }
 
 // retryAfter derives the 429 Retry-After hint from the mean observed
-// request latency of the grammar times the waiting room it would have
-// to drain, clamped to [1, maxRetryAfterSecs].
+// request latency of the grammar times the backlog it would have to
+// drain (its running plus waiting requests per worker), clamped to
+// [1, maxRetryAfterSecs].
 func (s *Server) retryAfter(g *grammarEntry) string {
 	secs := int64(1)
 	if n := g.m.requestNS.Count(); n > 0 {
 		meanNS := g.m.requestNS.Sum() / float64(n)
-		backlog := float64(len(g.queue)) / float64(g.workers)
+		backlog := float64(s.sched.held(g.flow)) / float64(g.workers)
 		if est := int64(meanNS * backlog / 1e9); est > secs {
 			secs = est
 		}

@@ -57,7 +57,6 @@ func (s *Server) countError(g *grammarEntry, code int) {
 // only.
 type serviceMetrics struct {
 	requests  *telemetry.Counter
-	throttled *telemetry.Counter
 	timeouts  *telemetry.Counter
 	canceled  *telemetry.Counter
 	drainDeny *telemetry.Counter
@@ -119,12 +118,11 @@ func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 func newServiceMetrics(reg *telemetry.Registry) serviceMetrics {
 	return serviceMetrics{
 		requests:  reg.Counter("serve_requests_total", "parse requests admitted past routing"),
-		throttled: reg.Counter("serve_throttled_total", "requests answered 429 (admission queue full)"),
 		timeouts:  reg.Counter("serve_timeouts_total", "requests that exceeded the request deadline"),
 		canceled:  reg.Counter("serve_canceled_total", "requests abandoned by the client"),
 		drainDeny: reg.Counter("serve_drain_denied_total", "requests refused 503 while draining"),
 		compiles:  reg.Counter("serve_compiles_total", "grammar→hDPDA compiles (startup only; flat at steady state)"),
-		inflight:  reg.Gauge("serve_inflight", "requests currently admitted (queued or parsing)"),
+		inflight:  reg.Gauge("serve_inflight", "requests currently holding a scheduler grant (parsing)"),
 		draining:  reg.Gauge("serve_draining", "1 while Drain is in progress or complete"),
 		degraded:  reg.Gauge("serve_degraded", "1 once any fabric bank has been lost"),
 		requestNS: reg.Histogram("serve_request_ns", "end-to-end request latency (ns), queue wait included", requestNSBuckets),
@@ -183,12 +181,11 @@ type grammarMetrics struct {
 	errors    *telemetry.Counter // input unlexable or machine fault
 	bytes     *telemetry.Counter
 	tokens    *telemetry.Counter
-	queueLen  *telemetry.Gauge
 	requestNS *telemetry.Histogram
 
-	// overloadQueue is this tenant's weighted-fair backlog depth
-	// (tenant_queue_depth{grammar=} — requests parked waiting for an
-	// execution token, distinct from queueLen's admission tickets).
+	// overloadQueue is this tenant's waiting-request count
+	// (tenant_queue_depth{grammar=} — requests parked in the scheduler
+	// for a grant).
 	overloadQueue *telemetry.Gauge
 
 	// Span-phase latency attribution (trace.go): one histogram per
@@ -244,9 +241,8 @@ func newGrammarMetrics(reg *telemetry.Registry, grammar string) grammarMetrics {
 		errors:    reg.Counter(p+"errors_total", "inputs that failed before the machine answered (lex error, machine fault)"),
 		bytes:     reg.Counter(p+"bytes_total", "request body bytes streamed into the parser"),
 		tokens:    reg.Counter(p+"tokens_total", "tokens fed to the "+grammar+" hDPDA"),
-		queueLen:  reg.Gauge(p+"queue_depth", "admission tickets held (running + waiting)"),
 		overloadQueue: reg.Gauge(telemetry.LabeledName("tenant_queue_depth", "grammar", grammar),
-			"requests parked in the tenant's weighted-fair backlog"),
+			"requests waiting in the scheduler for a grant"),
 		requestNS: reg.Histogram(p+"request_ns", "per-request latency (ns) for grammar "+grammar, requestNSBuckets),
 
 		faultFlips:        reg.Counter(p+"fault_flips_total", "injected active-state-vector bit flips"),
@@ -260,7 +256,7 @@ func newGrammarMetrics(reg *telemetry.Registry, grammar string) grammarMetrics {
 		breakerOpens:      reg.Counter(p+"breaker_opens_total", "circuit breaker open transitions"),
 		breakerDenied:     reg.Counter(p+"breaker_denied_total", "requests shed by an open circuit breaker"),
 		breakerOpen:       reg.Gauge(p+"breaker_open", "1 while the circuit breaker is open"),
-		workersEffective:  reg.Gauge(p+"workers_effective", "worker slots backed by surviving banks"),
+		workersEffective:  reg.Gauge(p+"workers_effective", "scheduler width (concurrent requests) backed by surviving banks"),
 
 		verifyDivergences: reg.Counter(p+"verify_divergences_total", "replica digest divergences with no majority (window rolled back)"),
 		verifyVotes:       reg.Counter(p+"verify_votes_total", "TMR majority arbitrations (minority replica repaired in place)"),

@@ -1,24 +1,37 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aspen/internal/store"
 )
 
-// Overload control. The bounded per-grammar admission queue (pool.go)
-// protects one tenant's waiting room, but nothing before this layer
-// protected the fabric itself: a single hot tenant could occupy every
-// execution context while a quiet tenant's requests aged out behind it,
-// and a latency regression (gray silicon, a pathological document mix)
-// had no feedback path into admission at all. This file adds the three
-// mechanisms the serving layer was missing, all driven by the machine
-// cost model PR 9's admission analysis already proves:
+// Scheduling and overload control. One structure, the weighted-fair
+// scheduler (wfq), admits every parse. Each tenant's flow carries three
+// numbers: running (requests granted and not yet released), width (the
+// execution contexts its surviving banks back; bank loss lowers it in
+// place) and room (workers + QueueDepth: the most requests the tenant
+// may hold, running plus waiting). One acquire answers each request:
+//
+//   - admit: the flow is under its width, the server under the AIMD
+//     limit, and no eligible request waits ahead — the grant is made
+//     inline, allocation-free;
+//   - wait: the request parks in the flow's FIFO; dispatch serves the
+//     lowest-virtual-time flow that is under its width;
+//   - shed: the flow already holds room requests — 429, counted on
+//     shed_total{reason="queue"}.
+//
+// A waiting request holds nothing, so one tenant's backlog never idles
+// a context a neighbour could run on. The rest of this file is the
+// control around that scheduler, driven by the machine cost model the
+// upload admission analysis (internal/admit) proves:
 //
 //   - aimd: an adaptive global concurrency limit over parse execution.
 //     Observed parse latency above the target halves the limit
@@ -27,24 +40,21 @@ import (
 //     of per-tenant worker widths). Decisions are a pure function of
 //     the observation stream — seeded tests replay them exactly.
 //
-//   - wfq: a weighted-fair queue that arbitrates the limited execution
-//     tokens across tenants. Each grant charges the tenant's flow
-//     cost/weight in virtual time and the scheduler always serves the
-//     lowest-virtual-time backlogged flow, so a flooding tenant queues
-//     behind its own backlog while a quiet tenant's occasional request
-//     dispatches almost immediately. Weights default to the machine's
-//     proven cost (StackBound × engine TableBytes — see costOf), so
-//     by default every tenant gets an equal request-rate share; an
-//     operator can re-weight a tenant at runtime via the journaled
-//     admin "weight" op.
+//   - wfq weighting: each grant charges the tenant's flow cost/weight
+//     in virtual time, so a flooding tenant queues behind its own
+//     backlog while a quiet tenant's occasional request dispatches
+//     almost immediately. Weights default to the machine's proven cost
+//     (StackBound × engine TableBytes — see costOf), so by default every
+//     tenant gets an equal request-rate share; an operator can re-weight
+//     a tenant at runtime via the journaled admin "weight" op.
 //
 //   - deadline shed + brownout: a request whose predicted cost (the
 //     tenant's observed ns/byte EWMA × Content-Length) exceeds its
-//     remaining deadline is answered 429+Retry-After at enqueue
-//     instead of burning a context to time out mid-parse. When the
-//     limiter collapses to its floor and stays there, the optional
-//     brownout ladder (Options.Brownout) sheds whole tenants, lowest
-//     effective weight first, until the limiter recovers.
+//     remaining deadline is answered 429+Retry-After before it reaches
+//     the scheduler instead of burning a context to time out mid-parse.
+//     When the limiter collapses to its floor and stays there, the
+//     optional brownout ladder (Options.Brownout) sheds whole tenants,
+//     lowest effective weight first, until the limiter recovers.
 
 // Overload defaults.
 const (
@@ -163,6 +173,10 @@ func (a *aimd) setCeiling(ceiling int) {
 	a.mu.Unlock()
 }
 
+// errRoomFull is acquire's shed verdict: the tenant already holds
+// workers+QueueDepth requests, running plus waiting.
+var errRoomFull = errors.New("serve: tenant admission room full")
+
 // wfqWaiter is one parked acquire: grant closes ch; cancellation
 // removes the waiter under the scheduler lock (granted disambiguates
 // the race between the two).
@@ -171,16 +185,31 @@ type wfqWaiter struct {
 	granted bool
 }
 
-// wfqFlow is one tenant's scheduling state. cost/weight give the
-// virtual-time charge per grant; vt accumulates it. A flow whose vt
-// fell behind while idle is clamped up to the global virtual time when
-// it next contends — idleness banks no credit (the classic WFQ
-// discipline; without the clamp a tenant could sleep, then burst past
-// everyone at its stale vt).
+// wfqFlow is one tenant's scheduling state. room bounds the requests
+// it may hold (running plus waiting) and width how many may run.
+// cost/weight give the virtual-time charge per grant; vt accumulates
+// it. A flow whose vt fell behind while idle is clamped up to the
+// global virtual time when it next contends — idleness banks no credit
+// (the classic WFQ discipline; without the clamp a tenant could sleep,
+// then burst past everyone at its stale vt).
 type wfqFlow struct {
-	g       *grammarEntry
+	g    *grammarEntry
+	room int
+	// width is written only under wfq.mu (shrink) and read lock-free by
+	// effectiveWorkers. It starts at the provisioned worker count and
+	// only shrinks, never below 1.
+	width atomic.Int64
+
+	// Guarded by wfq.mu.
 	vt      float64
+	running int
 	waiters []*wfqWaiter
+}
+
+func newFlow(g *grammarEntry, width, room int) *wfqFlow {
+	f := &wfqFlow{g: g, room: room}
+	f.width.Store(int64(width))
+	return f
 }
 
 // charge is the virtual time one grant costs this flow.
@@ -192,9 +221,12 @@ func (f *wfqFlow) charge() float64 {
 	return float64(f.g.cost) / w
 }
 
-// wfq is the server-global execution-token scheduler: at most
-// limiter.limitNow() requests hold a token; backlogged flows are
-// served lowest virtual time first.
+// underWidth reports whether f may take another context.
+func (f *wfqFlow) underWidth() bool { return int64(f.running) < f.width.Load() }
+
+// wfq is the server-global admission scheduler: at most
+// limiter.limitNow() requests run in total and at most width per flow;
+// waiting flows are served lowest virtual time first.
 type wfq struct {
 	limiter *aimd
 
@@ -206,7 +238,7 @@ type wfq struct {
 
 func newWFQ(limiter *aimd) *wfq { return &wfq{limiter: limiter} }
 
-// grantLocked charges f and takes one token. No idle clamp here: a
+// grantLocked charges f and takes one context. No idle clamp here: a
 // flow that stays backlogged must keep its accumulated charge between
 // grants — that accumulation IS the weighting (clamping on every grant
 // would reset the race each round and serve flows round-robin
@@ -217,6 +249,7 @@ func (q *wfq) grantLocked(f *wfqFlow) {
 	if f.vt > q.virt {
 		q.virt = f.vt
 	}
+	f.running++
 	q.inflight++
 }
 
@@ -229,30 +262,43 @@ func (q *wfq) enterLocked(f *wfqFlow) {
 	}
 }
 
-// tryAcquire is the contention-free fast path: with no backlog anywhere
-// and headroom under the limit, the token is granted inline with zero
-// allocations (the steady-state request path stays within its pinned
-// budget). It fails — without queuing — when the scheduler would have
-// to park the caller.
+// grantNowLocked is the inline grant: f runs now when none of its own
+// requests waits ahead, it is under its width, and the server is under
+// the limit once eligible waiters elsewhere have been served (a limit
+// raised since the last release is noticed here). It allocates nothing.
+func (q *wfq) grantNowLocked(f *wfqFlow) bool {
+	limit := q.limiter.limitNow()
+	if len(q.active) > 0 {
+		q.dispatchLocked(limit)
+	}
+	if len(f.waiters) > 0 || !f.underWidth() || q.inflight >= limit {
+		return false
+	}
+	q.enterLocked(f)
+	q.grantLocked(f)
+	return true
+}
+
+// tryAcquire is acquire without the wait: it grants inline or reports
+// false, queuing nothing. The admission bench drives it, since it never
+// blocks.
 func (q *wfq) tryAcquire(f *wfqFlow) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.active) == 0 && q.inflight < q.limiter.limitNow() {
-		q.enterLocked(f)
-		q.grantLocked(f)
-		return true
-	}
-	return false
+	return q.grantNowLocked(f)
 }
 
-// acquire takes one execution token for f, parking in f's FIFO backlog
-// until the scheduler serves it or ctx ends. ctx is consulted via its
-// Done channel only — acquire adds no deadline of its own.
-func (q *wfq) acquire(ctx ctxDone, f *wfqFlow) error {
+// acquire answers one request for f: shed (errRoomFull) when f already
+// holds room requests, admit inline when it can run now, and otherwise
+// wait in f's FIFO until dispatch serves it or ctx ends. A nil return
+// owes exactly one release(f).
+func (q *wfq) acquire(ctx context.Context, f *wfqFlow) error {
 	q.mu.Lock()
-	if len(q.active) == 0 && q.inflight < q.limiter.limitNow() {
-		q.enterLocked(f)
-		q.grantLocked(f)
+	if f.running+len(f.waiters) >= f.room {
+		q.mu.Unlock()
+		return errRoomFull
+	}
+	if q.grantNowLocked(f) {
 		q.mu.Unlock()
 		return nil
 	}
@@ -270,11 +316,11 @@ func (q *wfq) acquire(ctx ctxDone, f *wfqFlow) error {
 		return nil
 	case <-ctx.Done():
 		q.mu.Lock()
+		defer q.mu.Unlock()
 		if w.granted {
-			// The grant raced the cancellation: the token is ours, so put
-			// it back properly (someone else may be waiting on it).
-			q.releaseLocked()
-			q.mu.Unlock()
+			// The grant raced the cancellation: the context is ours, so
+			// hand it back properly (someone else may be waiting on it).
+			q.releaseLocked(f)
 			return ctx.Err()
 		}
 		for i, pw := range f.waiters {
@@ -287,44 +333,41 @@ func (q *wfq) acquire(ctx ctxDone, f *wfqFlow) error {
 			q.deactivateLocked(f)
 		}
 		f.g.m.overloadQueue.SetInt(int64(len(f.waiters)))
-		q.mu.Unlock()
 		return ctx.Err()
 	}
 }
 
-// ctxDone is the slice of context.Context acquire needs; the indirection
-// keeps the scheduler testable with hand-rolled cancellation.
-type ctxDone interface {
-	Done() <-chan struct{}
-	Err() error
-}
-
-// release returns one execution token and dispatches as many parked
-// waiters as the current limit allows (the limit may have moved while
-// the token was held — in either direction).
-func (q *wfq) release() {
+// release returns f's context and dispatches as many waiters as the
+// current limit allows (the limit may have moved while the context was
+// held — in either direction).
+func (q *wfq) release(f *wfqFlow) {
 	q.mu.Lock()
-	q.releaseLocked()
+	q.releaseLocked(f)
 	q.mu.Unlock()
 }
 
-func (q *wfq) releaseLocked() {
+func (q *wfq) releaseLocked(f *wfqFlow) {
+	f.running--
 	q.inflight--
-	q.dispatchLocked()
+	q.dispatchLocked(q.limiter.limitNow())
 }
 
-// dispatchLocked grants tokens to the lowest-virtual-time backlogged
-// flows while there is headroom. Tenant counts are small (a handful of
-// flows), so the min scan is cheaper than a heap would be.
-func (q *wfq) dispatchLocked() {
-	for q.inflight < q.limiter.limitNow() && len(q.active) > 0 {
-		min := 0
-		for i := 1; i < len(q.active); i++ {
-			if q.active[i].vt < q.active[min].vt {
-				min = i
+// dispatchLocked grants contexts while the server is under limit, each
+// to the lowest-virtual-time waiting flow that is under its own width;
+// a flow at its width keeps its waiters and holds nothing. Tenant
+// counts are small (a handful of flows), so the min scan is cheaper
+// than a heap would be.
+func (q *wfq) dispatchLocked(limit int) {
+	for q.inflight < limit {
+		var f *wfqFlow
+		for _, af := range q.active {
+			if af.underWidth() && (f == nil || af.vt < f.vt) {
+				f = af
 			}
 		}
-		f := q.active[min]
+		if f == nil {
+			return
+		}
 		w := f.waiters[0]
 		f.waiters = f.waiters[1:]
 		if len(f.waiters) == 0 {
@@ -344,6 +387,31 @@ func (q *wfq) deactivateLocked(f *wfqFlow) {
 			return
 		}
 	}
+}
+
+// shrink lowers f's width to width (floor 1; a wider value is ignored,
+// since banks never revive) and republishes workers_effective under the
+// same lock, so concurrent bank kills leave the gauge equal to the
+// width. Requests already running above the new width finish normally;
+// dispatch grants f nothing until running drops below it.
+func (q *wfq) shrink(f *wfqFlow, width int) {
+	if width < 1 {
+		width = 1
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if int64(width) < f.width.Load() {
+		f.width.Store(int64(width))
+	}
+	f.g.m.workersEffective.SetInt(f.width.Load())
+}
+
+// held is f's running plus waiting requests, the backlog Retry-After
+// prices.
+func (q *wfq) held(f *wfqFlow) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return f.running + len(f.waiters)
 }
 
 // costOf is the machine cost heuristic the weights and brownout ranks
@@ -413,10 +481,10 @@ func (s *Server) applyOverloadPlan(ts *tenantSet) {
 	}
 }
 
-// overloadCheck is the pre-queue shedding decision: brownout first
-// (cheapest — two atomic loads), then the deadline test. It returns
-// the shed reason, or "" to proceed. contentLength < 0 means the
-// transport did not declare a length; such requests are never
+// overloadCheck is the shedding decision made before the scheduler:
+// brownout first (cheapest — two atomic loads), then the deadline test.
+// It returns the shed reason, or "" to proceed. contentLength < 0 means
+// the transport did not declare a length; such requests are never
 // deadline-shed (no prediction basis).
 func (s *Server) overloadCheck(g *grammarEntry, contentLength int64, remaining time.Duration) string {
 	if s.opts.Brownout {
@@ -434,7 +502,7 @@ func (s *Server) overloadCheck(g *grammarEntry, contentLength int64, remaining t
 
 // shed reasons (shed_total{reason=} label values and trace fields).
 const (
-	shedQueue    = "queue"    // bounded waiting room full (the PR-2 429)
+	shedQueue    = "queue"    // the tenant holds workers+QueueDepth requests already
 	shedDeadline = "deadline" // predicted cost exceeds remaining deadline
 	shedBrownout = "brownout" // brownout ladder shed the tenant
 )
@@ -501,30 +569,23 @@ func (s *Server) SetWeight(name string, weight int) error {
 func (s *Server) BrownoutLevel() int { return int(s.brownoutLevel.Load()) }
 
 // BenchAdmitCycle drives one complete admission decision — snapshot
-// lookup, waiting-room ticket, shed checks, and the weighted-fair
-// fast-path token — and immediately undoes it. It exists so
-// internal/bench can pin the decision overhead (ns and allocs per
-// request) without standing up HTTP.
+// lookup, shed checks, and the scheduler's inline grant — and
+// immediately undoes it. It exists so internal/bench can pin the
+// decision overhead (ns and allocs per request) without standing up
+// HTTP.
 func (s *Server) BenchAdmitCycle(name string, contentLength int64) error {
 	g, _, denial := s.admitRequest(name)
 	if g == nil {
 		return errors.New("serve: bench admission denied: " + denial.msg)
 	}
+	defer s.inflight.Done()
+	defer g.inflight.Done()
 	if reason := s.overloadCheck(g, contentLength, s.opts.RequestTimeout); reason != "" {
-		s.finishBench(g)
 		return errors.New("serve: bench admission shed: " + reason)
 	}
 	if !s.sched.tryAcquire(g.flow) {
-		s.finishBench(g)
 		return errors.New("serve: bench admission found the scheduler saturated")
 	}
-	s.sched.release()
-	s.finishBench(g)
+	s.sched.release(g.flow)
 	return nil
-}
-
-func (s *Server) finishBench(g *grammarEntry) {
-	g.release()
-	s.inflight.Done()
-	g.inflight.Done()
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -107,12 +109,14 @@ func TestAIMDCollapseAtFloor(t *testing.T) {
 	}
 }
 
-// testFlow builds a detached scheduling flow for whitebox wfq tests.
+// testFlow builds a detached scheduling flow for whitebox wfq tests,
+// wide and roomy enough that only the global limit binds.
 func testFlow(reg *telemetry.Registry, name string, cost, weight int64) *wfqFlow {
 	g := &grammarEntry{name: name, cost: cost}
 	g.weight.Store(weight)
 	g.m.overloadQueue = reg.Gauge("test_queue_"+name, "")
-	return &wfqFlow{g: g}
+	g.m.workersEffective = reg.Gauge("test_width_"+name, "")
+	return newFlow(g, 64, 64)
 }
 
 // park spawns an acquire for f and waits until the scheduler has
@@ -130,7 +134,7 @@ func park(t *testing.T, q *wfq, f *wfqFlow, grants chan<- string, proceed <-chan
 		}
 		grants <- f.g.name
 		<-proceed
-		q.release()
+		q.release(f)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -173,7 +177,7 @@ func TestWFQFairness(t *testing.T) {
 	}
 
 	close(proceed)
-	q.release() // return the initial token; grants cascade
+	q.release(hot) // return the initial token; grants cascade
 	var order []string
 	for i := 0; i < 6; i++ {
 		select {
@@ -212,7 +216,7 @@ func TestWFQWeightedShare(t *testing.T) {
 		park(t, q, slow, grants, proceed)
 	}
 	close(proceed)
-	q.release()
+	q.release(slow)
 	counts := map[string]int{}
 	for i := 0; i < 6; i++ { // first six grants
 		select {
@@ -266,11 +270,179 @@ func TestWFQCancellation(t *testing.T) {
 	if waiters != 0 || active != 0 {
 		t.Fatalf("canceled waiter left state behind: waiters=%d active=%d", waiters, active)
 	}
-	q.release()
+	q.release(f)
 	if !q.tryAcquire(f) {
 		t.Fatal("token lost after cancellation")
 	}
-	q.release()
+	q.release(f)
+}
+
+// flowState reads f's running and waiting counts under the scheduler
+// lock.
+func flowState(q *wfq, f *wfqFlow) (running, waiting int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return f.running, len(f.waiters)
+}
+
+// awaitFlow polls the scheduler until f reaches the given state, so a
+// test proceeds on what the scheduler holds rather than on sleeps.
+func awaitFlow(t *testing.T, q *wfq, f *wfqFlow, running, waiting int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		r, w := flowState(q, f)
+		if r == running && w == waiting {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("flow %s: running=%d waiting=%d, want %d/%d", f.g.name, r, w, running, waiting)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestWFQBacklogDoesNotBlockNeighbour: a waiting request holds nothing.
+// With one context per tenant and room for one waiter, JSON runs one
+// request through an open body and parks a second behind it; XML's
+// fabric share is idle, so an XML request must answer while JSON's
+// first request is still open.
+func TestWFQBacklogDoesNotBlockNeighbour(t *testing.T) {
+	s, ts := newTestServer(t, Options{
+		Languages:  []*lang.Language{lang.JSON(), lang.XML()},
+		Workers:    1,
+		QueueDepth: 1,
+	})
+	jf := s.grammar("JSON").flow
+	post := func(grammar string, body io.Reader, status chan<- int) {
+		req, err := http.NewRequest("POST", ts.URL+"/v1/parse/"+grammar, body)
+		if err != nil {
+			status <- -1
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			status <- -1
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}
+
+	// JSON request 1 holds JSON's only context through an open body.
+	pr, pw := io.Pipe()
+	t.Cleanup(func() { pw.Close() }) // runs before the server closes
+	first := make(chan int, 1)
+	go post("JSON", pr, first)
+	if _, err := pw.Write([]byte(`{"a": [1, `)); err != nil {
+		t.Fatal(err)
+	}
+	awaitFlow(t, s.sched, jf, 1, 0)
+	// JSON request 2 waits behind it: JSON is at its width.
+	second := make(chan int, 1)
+	go post("JSON", bytes.NewReader([]byte(`[2]`)), second)
+	awaitFlow(t, s.sched, jf, 1, 1)
+
+	xml := make(chan int, 1)
+	go post("XML", bytes.NewReader([]byte(`<a>x</a>`)), xml)
+	select {
+	case code := <-xml:
+		if code != http.StatusOK {
+			t.Fatalf("XML beside JSON's backlog: status %d, want 200", code)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("XML request blocked behind JSON's backlog")
+	}
+	select {
+	case code := <-first:
+		t.Fatalf("first JSON request finished (status %d) before its body closed", code)
+	default:
+	}
+
+	if _, err := pw.Write([]byte(`2]}`)); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	for i, ch := range []chan int{first, second} {
+		if code := <-ch; code != http.StatusOK {
+			t.Fatalf("JSON request %d: status %d, want 200", i+1, code)
+		}
+	}
+}
+
+// TestWFQWidthShrinkCapsConcurrency: a width shrink caps concurrency
+// without evicting anyone. A width-2 flow with two running and one
+// waiting is shrunk to 1: the first release must not grant the waiter,
+// the second must. Bank kills fired from several goroutines at once
+// leave the served width at exactly the surviving capacity.
+func TestWFQWidthShrinkCapsConcurrency(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	q := newWFQ(newAIMD(time.Second, 8))
+	f := testFlow(reg, "narrow", 4, 4)
+	q.shrink(f, 2)
+	for i := 0; i < 2; i++ {
+		if !q.tryAcquire(f) {
+			t.Fatalf("grant %d refused at width 2", i+1)
+		}
+	}
+	if q.tryAcquire(f) {
+		t.Fatal("third grant made at width 2")
+	}
+	granted := make(chan error, 1)
+	go func() { granted <- q.acquire(context.Background(), f) }()
+	awaitFlow(t, q, f, 2, 1)
+
+	q.shrink(f, 1)
+	q.shrink(f, 2) // a stale, wider capacity from a racing kill
+	if got := f.g.m.workersEffective.Value(); got != 1 || f.width.Load() != 1 {
+		t.Fatalf("width %d, workers_effective %v after shrinking to 1, want 1 (width never grows)", f.width.Load(), got)
+	}
+	q.release(f)
+	if r, w := flowState(q, f); r != 1 || w != 1 {
+		t.Fatalf("after the first release: running=%d waiting=%d, want 1/1 (no grant at width 1)", r, w)
+	}
+	q.release(f)
+	select {
+	case err := <-granted:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter never granted once running fell below the width")
+	}
+	if r, w := flowState(q, f); r != 1 || w != 0 {
+		t.Fatalf("after the second release: running=%d waiting=%d, want 1/0", r, w)
+	}
+	q.release(f)
+
+	s, err := New(Options{Languages: []*lang.Language{lang.JSON()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := s.grammar("JSON")
+	const killers, perKiller = 8, 24
+	var wg sync.WaitGroup
+	for k := 0; k < killers; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for b := g.bankLo + k; b < g.bankLo+killers*perKiller; b += killers {
+				s.KillBank(b)
+			}
+		}(k)
+	}
+	wg.Wait()
+	want := min(s.fabric.CapacityInRange(g.bankLo, g.bankHi, g.unitBanks).Contexts, g.workers)
+	if want >= g.workers {
+		t.Fatalf("kills left the capacity at the provisioned %d; the check needs a shrink", g.workers)
+	}
+	if got := g.effectiveWorkers(); got != want {
+		t.Fatalf("effective workers %d after concurrent kills, want the surviving capacity %d", got, want)
+	}
+	if got := int(g.m.workersEffective.Value()); got != want {
+		t.Fatalf("workers_effective gauge %d after concurrent kills, want %d", got, want)
+	}
 }
 
 // TestDeadlineShed: once the tenant's ns/byte estimate is warm, a
@@ -472,7 +644,7 @@ func TestGrayFaultInjection(t *testing.T) {
 }
 
 // TestAdmitCycleAllocs pins the full admission decision — snapshot
-// lookup, waiting-room ticket, shed checks, weighted-fair fast path —
+// lookup, shed checks, the scheduler's inline grant —
 // at zero heap allocations, the budget the steady-state parse path's
 // own pin (alloc_test.go) depends on.
 func TestAdmitCycleAllocs(t *testing.T) {

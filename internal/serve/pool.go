@@ -2,59 +2,11 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"io"
 	"sync"
 
 	"aspen/internal/stream"
 )
-
-// Scheduling. Each grammar owns a two-stage admission structure:
-//
-//   queue — buffered chan of tickets, capacity workers+QueueDepth. A
-//           non-blocking send is the admission decision: failure means
-//           the bounded waiting room is full → 429, never an unbounded
-//           backlog (the acceptance criterion's backpressure).
-//   slots — buffered chan of tokens, capacity workers (one per fabric
-//           context). Holding a token is being scheduled onto a bank-
-//           group; the wait honors the request deadline.
-//
-// The request's own goroutine executes the parse once it holds a slot,
-// so "worker pool" here is a pool of slots, not of goroutines — the
-// width is identical, and the body stream stays with its handler.
-
-// errThrottled is returned when the admission queue is full.
-var errThrottled = errors.New("serve: admission queue full")
-
-// admit takes an admission ticket, or fails fast when the waiting room
-// is at capacity.
-func (g *grammarEntry) admit() error {
-	select {
-	case g.queue <- struct{}{}:
-		g.m.queueLen.SetInt(int64(len(g.queue)))
-		return nil
-	default:
-		return errThrottled
-	}
-}
-
-// release returns the admission ticket.
-func (g *grammarEntry) release() {
-	<-g.queue
-	g.m.queueLen.SetInt(int64(len(g.queue)))
-}
-
-// acquireSlot waits for a worker slot, honoring the deadline.
-func (g *grammarEntry) acquireSlot(ctx context.Context) error {
-	select {
-	case g.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (g *grammarEntry) releaseSlot() { <-g.slots }
 
 // copyBufs pools the request-body copy buffers (shared by all
 // grammars; a buffer has no tenant identity).

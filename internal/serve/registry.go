@@ -24,13 +24,12 @@ type grammarEntry struct {
 	cm   *compile.Compiled
 	cap  arch.Capacity
 
-	// workers is the worker-slot count (= cap.Contexts unless
-	// overridden); slots is the running set, queue the admission
-	// tickets: capacity workers+queueDepth, so a ticket means "running
-	// or in the bounded waiting room" and a failed ticket means 429.
+	// workers is the provisioned concurrency width (= cap.Contexts
+	// unless overridden). The tenant's scheduler flow (overload.go)
+	// enforces it: at most width requests run (width starts at workers
+	// and shrinks with bank loss), and at most workers+QueueDepth are
+	// held, running plus waiting.
 	workers int
-	slots   chan struct{}
-	queue   chan struct{}
 
 	// parsers pools reusable stream.Parser state. A Get either hands
 	// back a previously warmed parser (Reset, zero compile work) or
@@ -52,17 +51,12 @@ type grammarEntry struct {
 	// Lifecycle. Entries are immutable once published in a tenant
 	// snapshot; a reload/swap builds a replacement off to the side and
 	// retires this one. inflight counts requests currently executing
-	// against this entry (the retire path waits for it); stop is
-	// per-entry and closed exactly once — at retirement, or at server
-	// drain — releasing any parked-slot goroutines.
+	// against this entry (the retire path waits for it).
 	inflight sync.WaitGroup
-	stopOnce sync.Once
 
 	// Recovery layer (see chaos.go). bankLo/bankHi is this tenant's
 	// contiguous share of the physical fabric; units pools guarded
-	// detector contexts when chaos is armed; parked counts worker
-	// slots retired by bank losses; stop reclaims parked-slot
-	// goroutines at retirement or shutdown.
+	// detector contexts when chaos is armed.
 	//
 	// replicas is how many independent execution contexts one guarded
 	// unit runs (verify.Mode.Replicas(): 1 unguarded/scrub, 2 DMR,
@@ -74,15 +68,11 @@ type grammarEntry struct {
 	bankHi    int
 	replicas  int
 	unitBanks int
-	stop      chan struct{}
 	chaos     *ChaosOptions
 	trace     telemetry.TraceSink
 	units     sync.Pool
 	unitSeq   atomic.Int64
 	breaker   breaker
-
-	parkMu sync.Mutex
-	parked int
 
 	// Overload scheduling (overload.go): the machine cost heuristic
 	// (StackBound × TableKB, fixed at build), the runtime-overridable
@@ -110,13 +100,8 @@ func (g *grammarEntry) replicaBanks(i int) (lo, hi int) {
 	return lo, hi
 }
 
-// closeStop releases this entry's parked-slot goroutines (idempotent).
-func (g *grammarEntry) closeStop() {
-	g.stopOnce.Do(func() { close(g.stop) })
-}
-
 // initChaos wires the recovery layer after the bank range is assigned:
-// the fabric reference (always — bank kills shrink pools regardless),
+// the fabric reference (always — bank kills narrow the tenant regardless),
 // and, when chaos is armed, the guarded-unit pool and breaker. Each
 // unit builds a verify.Guard whose replicas run on disjoint bank
 // sub-ranges with decorrelated (but reproducible) injector streams; the
@@ -131,7 +116,7 @@ func (g *grammarEntry) initChaos(s *Server) {
 	// degraded fabric) must start at its surviving capacity, not its
 	// provisioned width — bank kills are permanent.
 	if s.fabric.Live() < s.fabric.Total() {
-		g.applyBankLoss()
+		s.applyBankLoss(g)
 	}
 	if g.chaos == nil {
 		return
@@ -228,9 +213,6 @@ func newGrammarEntry(s *Server, l *lang.Language, fabricShare int) (*grammarEntr
 		replicas:  replicas,
 		unitBanks: unitBanks,
 		workers:   workers,
-		slots:     make(chan struct{}, workers),
-		queue:     make(chan struct{}, workers+s.opts.QueueDepth),
-		stop:      make(chan struct{}),
 		m:         newGrammarMetrics(s.reg, l.Name),
 	}
 	// Fast-path lowering happens here, at load time like every other
@@ -257,7 +239,7 @@ func newGrammarEntry(s *Server, l *lang.Language, fabricShare int) (*grammarEntr
 		w = int64(ov)
 	}
 	g.weight.Store(w)
-	g.flow = &wfqFlow{g: g}
+	g.flow = newFlow(g, workers, workers+s.opts.QueueDepth)
 	g.parsers.New = func() any {
 		var p *stream.Parser
 		var err error
@@ -298,8 +280,8 @@ type GrammarInfo struct {
 	FabricShare     int `json:"fabricShare"`
 	Contexts        int `json:"contexts"`
 	OccupancyKB     int `json:"occupancyKB"`
-	// Scheduling: worker-slot width (as provisioned and as currently
-	// backed by surviving banks) and admission queue capacity.
+	// Scheduling: concurrency width (as provisioned and as currently
+	// backed by surviving banks) and the waiting room beyond it.
 	Workers          int `json:"workers"`
 	WorkersEffective int `json:"workersEffective"`
 	QueueDepth       int `json:"queueDepth"`

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -44,7 +45,7 @@ func TestRetryAfterBounds(t *testing.T) {
 
 	// A sub-second mean must round up to 1, never truncate to 0.
 	g.m.requestNS.ObserveInt((50 * time.Millisecond).Nanoseconds())
-	if err := g.admit(); err != nil {
+	if err := s.sched.acquire(context.Background(), g.flow); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.retryAfter(g); got != "1" {
@@ -56,5 +57,5 @@ func TestRetryAfterBounds(t *testing.T) {
 	if got := s.retryAfter(g); got != "60" {
 		t.Errorf("pathological estimate Retry-After = %q, want %q", got, "60")
 	}
-	g.release()
+	s.sched.release(g.flow)
 }

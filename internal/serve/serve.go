@@ -12,10 +12,13 @@
 // Concurrency mirrors the architecture. The LLC contributes a fixed
 // bank budget (arch.Config.FabricBanks); each grammar's machine
 // occupies a measured number of banks per execution context; the fabric
-// is partitioned across the loaded grammars and each grammar gets one
-// worker slot per context its share sustains (arch.CapacityFor).
+// is partitioned across the loaded grammars and each grammar may run
+// one request per context its share sustains (arch.CapacityFor).
 // Service concurrency is therefore bank-level parallelism, not an
-// arbitrary GOMAXPROCS-shaped pool.
+// arbitrary GOMAXPROCS-shaped pool. One weighted-fair scheduler
+// (overload.go) enforces those widths, the server-wide adaptive limit,
+// and each tenant's bounded waiting room in a single admit/wait/shed
+// decision.
 //
 // The registry is dynamic. The loaded tenant set lives in an immutable
 // snapshot behind an atomic pointer; admin mutations (add, remove,
@@ -28,8 +31,9 @@
 // state — the crash-durability half of the control plane (see
 // internal/store and DESIGN.md §9).
 //
-// Production machinery: a bounded per-grammar admission queue answers
-// 429 + Retry-After instead of growing without bound; every request
+// Production machinery: a tenant holding its running width plus
+// QueueDepth waiting requests is answered 429 + Retry-After instead of
+// queueing without bound; every request
 // carries a context deadline and honors client cancellation; parser and
 // copy-buffer state is pooled with sync.Pool so the steady-state request
 // path performs zero compiles and O(1) allocations (pinned by
@@ -71,15 +75,16 @@ type Options struct {
 	// non-empty journal in Store, the journal's membership wins and
 	// Languages only seeds the resolvable-name set.
 	Languages []*lang.Language
-	// Arch parameterizes the simulated fabric the worker-pool widths are
-	// derived from (zero value = arch.DefaultConfig()).
+	// Arch parameterizes the simulated fabric the per-grammar widths
+	// are derived from (zero value = arch.DefaultConfig()).
 	Arch arch.Config
-	// QueueDepth bounds each grammar's admission queue — requests
-	// waiting for a worker slot beyond the running set. A full queue
-	// answers 429 with Retry-After (0 = DefaultQueueDepth, negative = 0:
-	// no waiting room, admission requires a free slot).
+	// QueueDepth bounds each grammar's waiting room — requests waiting
+	// for the scheduler beyond the Workers that may run. A grammar
+	// already holding Workers+QueueDepth requests answers 429 with
+	// Retry-After (0 = DefaultQueueDepth, negative = 0: no waiting
+	// room, admission requires a free context).
 	QueueDepth int
-	// Workers overrides the per-grammar worker-slot count (0 = derived
+	// Workers overrides the per-grammar concurrency width (0 = derived
 	// from the grammar's fabric share; see Capacity accounting).
 	Workers int
 	// RequestTimeout bounds one request end-to-end, queue wait included
@@ -106,7 +111,7 @@ type Options struct {
 	Engine string
 	// Chaos, when non-nil, arms fault injection and the
 	// checkpoint/replay recovery layer (see ChaosOptions). nil keeps
-	// the unguarded request path; bank kills still shrink worker pools.
+	// the unguarded request path; bank kills still narrow the tenants.
 	Chaos *ChaosOptions
 	// Store, when non-nil, makes the control plane crash-durable:
 	// registry mutations are write-ahead journaled before taking effect,
@@ -130,7 +135,7 @@ type Options struct {
 	SlowThreshold time.Duration
 	// LatencyTarget is the parse-latency target the AIMD concurrency
 	// limiter steers toward (0 = DefaultLatencyTarget). Observed parse
-	// latency above the target halves the global execution-token limit;
+	// latency above the target halves the global concurrency limit;
 	// sustained good samples raise it back toward the fabric ceiling.
 	LatencyTarget time.Duration
 	// Brownout arms the degraded mode: when the limiter collapses to
@@ -170,9 +175,9 @@ type Server struct {
 	known   map[string]*lang.Language
 	weights map[string]int
 
-	// Overload control (overload.go): the AIMD execution-token limiter,
-	// the weighted-fair scheduler arbitrating those tokens across
-	// tenants, and the brownout ladder level (0 = nothing shed).
+	// Scheduling and overload control (overload.go): the AIMD limiter,
+	// the weighted-fair scheduler that admits every parse under it, and
+	// the brownout ladder level (0 = nothing shed).
 	limiter       *aimd
 	sched         *wfq
 	brownoutLevel atomic.Int32
@@ -186,7 +191,6 @@ type Server struct {
 	// corresponding Wait and no request slips past a completed drain.
 	drainMu  sync.RWMutex
 	draining atomic.Bool
-	stop     chan struct{} // closed by Drain; releases retiring entries
 	inflight sync.WaitGroup
 	traceSeq atomic.Int64
 	started  time.Time
@@ -220,8 +224,8 @@ func ResolveBuiltin(name string) *lang.Language {
 	return nil
 }
 
-// New compiles and places every grammar, sizes the per-grammar worker
-// pools from the fabric partition, and builds the HTTP surface. All
+// New compiles and places every grammar, sizes the per-grammar widths
+// from the fabric partition, and builds the HTTP surface. All
 // compile work happens here — the request path performs none. With a
 // durable store attached, a non-empty journal overrides the flag-derived
 // membership and verify mode (the journal is the source of truth after
@@ -311,7 +315,6 @@ func New(opts Options) (*Server, error) {
 		m:       newServiceMetrics(reg),
 		fabric:  arch.NewFabric(cfg.FabricBanksOrDefault()),
 		st:      opts.Store,
-		stop:    make(chan struct{}),
 		started: time.Now(),
 		flight: telemetry.NewFlightRecorder(opts.FlightSize, opts.FlightSize/4,
 			int64(opts.SlowThreshold), phaseNames),
@@ -446,15 +449,15 @@ func withVerifyMode(c *ChaosOptions, vm verify.Mode) *ChaosOptions {
 }
 
 // buildTenantSet compiles and places langs as a complete registry
-// snapshot: every grammar gets an equal, contiguous bank share, and one
-// worker slot per context its share sustains. The range bounds let bank
-// kills be attributed to their tenant. The last tenant absorbs the
-// division remainder so every physical bank has an owner — an unowned
-// bank's death would shrink no pool and be invisible to injectors. With
-// more grammars than banks (share clamped to 1), tenants past the
-// fabric end get empty ranges: they still serve (CapacityFor floors the
-// pool at one slot) but own no physical banks, so kills never degrade
-// them.
+// snapshot: every grammar gets an equal, contiguous bank share, and a
+// width of one running request per context the share sustains. The
+// range bounds let bank kills be attributed to their tenant. The last
+// tenant absorbs the division remainder so every physical bank has an
+// owner — an unowned bank's death would narrow no tenant and be
+// invisible to injectors. With more grammars than banks (share clamped
+// to 1), tenants past the fabric end get empty ranges: they still serve
+// (CapacityFor floors the width at one) but own no physical banks, so
+// kills never degrade them.
 func (s *Server) buildTenantSet(langs []*lang.Language) (*tenantSet, error) {
 	ts := &tenantSet{byName: make(map[string]*grammarEntry, len(langs))}
 	share := s.cfg.FabricBanksOrDefault() / len(langs)
@@ -463,12 +466,10 @@ func (s *Server) buildTenantSet(langs []*lang.Language) (*tenantSet, error) {
 	}
 	for i, l := range langs {
 		if _, dup := ts.byName[l.Name]; dup {
-			discardTenantSet(ts)
 			return nil, fmt.Errorf("serve: duplicate grammar %q", l.Name)
 		}
 		g, err := newGrammarEntry(s, l, share)
 		if err != nil {
-			discardTenantSet(ts)
 			return nil, fmt.Errorf("serve: grammar %s: %w", l.Name, err)
 		}
 		g.bankLo = i * share
@@ -484,19 +485,6 @@ func (s *Server) buildTenantSet(langs []*lang.Language) (*tenantSet, error) {
 		ts.names = append(ts.names, l.Name)
 	}
 	return ts, nil
-}
-
-// discardTenantSet releases entries that were built but never
-// published (an aborted mutation): closing each entry's stop channel
-// reclaims any parked-slot goroutines created against a degraded
-// fabric.
-func discardTenantSet(ts *tenantSet) {
-	if ts == nil {
-		return
-	}
-	for _, g := range ts.byName {
-		g.closeStop()
-	}
 }
 
 // grammar returns the named entry from the current snapshot, nil if
@@ -562,10 +550,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		// registration can race the Wait below.
 		s.adminMu.Lock()
 		s.drainMu.Lock()
-		close(s.stop) // release parked-slot and retiring-entry goroutines
-		for _, g := range s.tenants.Load().byName {
-			g.closeStop()
-		}
+		//lint:ignore SA2001 empty write-section is the barrier itself
 		s.drainMu.Unlock()
 		s.adminMu.Unlock()
 	}

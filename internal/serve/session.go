@@ -68,9 +68,9 @@ var checkpoints = sync.Pool{New: func() any { return new(stream.Checkpoint) }}
 func sessionKey(grammar, id string) string { return "sess-" + grammar + "-" + id }
 
 // serveSession handles one durable-session chunk. The caller has
-// admitted the request and holds a worker slot; this owns the response
-// and the span's disposition (checkpoint load/save time lands in the
-// persist phase).
+// admitted the request and holds its scheduler grant; this owns the
+// response and the span's disposition (checkpoint load/save time lands
+// in the persist phase).
 func (s *Server) serveSession(w http.ResponseWriter, ctx context.Context, g *grammarEntry, body io.Reader, id string, final bool, start time.Time, queueNS int64, sp *span) {
 	if s.st == nil {
 		s.writeErr(w, sp, g, http.StatusBadRequest, outcomeError,

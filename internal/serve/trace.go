@@ -28,7 +28,7 @@ import (
 
 // Span phases, in lifecycle order.
 const (
-	phaseQueue   = iota // waiting for a worker slot (admission is non-blocking)
+	phaseQueue   = iota // waiting for the scheduler's grant (a shed never waits)
 	phaseRead           // transport reads of the request body
 	phaseParse          // lexing + machine execution (all replicas, incl. the vote)
 	phaseVerify         // checkpoint/seal work at clean window boundaries
@@ -51,8 +51,8 @@ const (
 	outcomeInputErr = "input_error"  // 200, input could not be tokenized
 	outcomePartial  = "partial"      // 200, durable-session chunk acknowledged
 	outcomeDepth    = "depth"        // 422, provisioned stack depth exceeded
-	outcomeDenied   = "denied"       // 404/429/503: never reached a parser
-	outcomeShed     = "shed"         // 429, overload layer shed (deadline/brownout)
+	outcomeDenied   = "denied"       // 404/409/503: refused without a parse
+	outcomeShed     = "shed"         // 429, shed by the scheduler (queue) or the overload checks (deadline/brownout)
 	outcomeTimeout  = "timeout"      // 504, request deadline
 	outcomeCanceled = "canceled"     // client went away (no response written)
 	outcomeError    = "system_error" // transport/recovery failure

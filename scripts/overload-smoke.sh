@@ -79,9 +79,10 @@ $GO build -o "$workdir/aspend" ./cmd/aspend
 $GO build -o "$workdir/aspen-router" ./cmd/aspen-router
 
 # Node 1: healthy. Node 2: gray-slow — correct answers, injected
-# latency stalls inside the parse. Both run a one-ticket waiting room
-# (-workers 1 -queue -1) so the flood overruns admission, and an
-# explicit -latency-target arms the AIMD limiter's gauge.
+# latency stalls inside the parse. Both hold each tenant to one
+# request, running or waiting (-workers 1 -queue -1), so the flood
+# overruns admission, and an explicit -latency-target arms the AIMD
+# limiter's gauge.
 "$workdir/aspend" -addr 127.0.0.1:0 -langs JSON,XML \
     -workers 1 -queue -1 -latency-target 250ms 2> "$workdir/node1.log" &
 pids="$pids $!"
