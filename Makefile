@@ -45,6 +45,7 @@ overload-smoke:
 
 # Short coverage-guided runs of every native fuzz target: streaming
 # equivalence (chunk-boundary lexing, chunked-vs-whole parsing), the
+# merged-DFA scan against its NFA reference, the
 # software-parser differential, the XML pipeline, checkpoint
 # serialize/restore round-tripping, and the registry journal record
 # codec. Checked-in seed corpora run on plain `go test`; this explores
@@ -53,6 +54,7 @@ overload-smoke:
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTokenizeChunkResume -fuzztime $(FUZZTIME) ./internal/lexer
+	$(GO) test -run '^$$' -fuzz FuzzScanMatchesNFA -fuzztime $(FUZZTIME) ./internal/lexer
 	$(GO) test -run '^$$' -fuzz FuzzStreamChunkedVsWhole -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzParsers -fuzztime $(FUZZTIME) ./internal/swparse
 	$(GO) test -run '^$$' -fuzz FuzzXMLPipeline -fuzztime $(FUZZTIME) ./internal/lang

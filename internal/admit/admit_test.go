@@ -155,6 +155,30 @@ func runAdmitted(t *testing.T, res *Result, input []byte) (bool, core.Result) {
 	return r.Accepted, r
 }
 
+// grammarLexBlowup's one %lex rule, [ab]*a then 13 more [ab], must
+// remember the last 14 bytes it read: its DFA needs 2^14 states, past
+// the determinization cap.
+var grammarLexBlowup = "%name Blowup\n%token A\n%start S\nS : A ;\n%lex A [ab]*a" + strings.Repeat("[ab]", 13) + "\n"
+
+// A tokenizer whose DFA blows up is rejected at admission with a
+// tokenizer diagnostic: the DFA is the only runtime path, so there is
+// nothing slower to serve it on.
+func TestAdmitRejectsLexerBlowup(t *testing.T) {
+	res, err := Admit("blowup", FormatGrammar, []byte(grammarLexBlowup), Limits{})
+	if err == nil {
+		t.Fatalf("lexer blow-up admitted (bound %d)", res.StackBound)
+	}
+	rej, ok := err.(*Rejection)
+	if !ok || len(rej.Diagnostics) == 0 {
+		t.Fatalf("error is %T %v, want a *Rejection with diagnostics", err, err)
+	}
+	d := rej.Diagnostics[0]
+	if d.Check != CheckParse || !strings.HasPrefix(d.Message, "tokenizer: ") ||
+		!strings.Contains(d.Message, "determinization exceeded") {
+		t.Errorf("rejected by %q: %s; want a %q tokenizer diagnostic naming the state cap", d.Check, d.Message, CheckParse)
+	}
+}
+
 // ---- Hostile corpus ------------------------------------------------------
 
 // hostileCase is one upload that must be rejected, with the check that

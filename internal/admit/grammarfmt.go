@@ -96,13 +96,14 @@ func admitGrammar(name string, source []byte, lim Limits) (*lang.Language, *comp
 		}
 	}
 
-	// The lexer itself must compile (bad regex patterns surface here).
-	if _, err := lexer.New(spec); err != nil {
+	// The lexer itself must compile: bad regex patterns, and a DFA
+	// past the determinization cap, surface here. The language caches
+	// the lexer, so serving does not build it again.
+	l := &lang.Language{Name: name, Grammar: g, LexSpec: spec}
+	if _, err := l.Lexer(); err != nil {
 		return nil, nil, reject(name, FormatGrammar, Diagnostic{
 			Check: CheckParse, Message: fmt.Sprintf("tokenizer: %v", err)})
 	}
-
-	l := &lang.Language{Name: name, Grammar: g, LexSpec: spec}
 	cm, err := compile.FromGrammar(g, compile.OptAll)
 	if err != nil {
 		// LR construction failures are grammar-level nondeterminism

@@ -41,18 +41,15 @@ type Language struct {
 	lex *lexer.Lexer
 }
 
-// Lexer returns the compiled tokenizer (built lazily, cached). The
-// software fast path (determinized scanning) is enabled when possible;
-// the hardware cycle model is unaffected.
+// Lexer returns the compiled tokenizer (built lazily, cached). It is
+// the determinized table every scan runs; a spec whose DFA blows up
+// fails here. The hardware cycle model is unaffected.
 func (l *Language) Lexer() (*lexer.Lexer, error) {
 	if l.lex == nil {
 		lx, err := lexer.New(l.LexSpec)
 		if err != nil {
 			return nil, err
 		}
-		// Best effort: a determinization blow-up just keeps the NFA
-		// path.
-		_ = lx.Optimize()
 		l.lex = lx
 	}
 	return l.lex, nil

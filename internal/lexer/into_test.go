@@ -22,28 +22,21 @@ func intoSpec(t *testing.T) *Lexer {
 // stats and modes, appended into the caller's slice.
 func TestTokenizeIntoEquivalence(t *testing.T) {
 	input := []byte("abc 123 de 4 fgh")
-	for _, optimize := range []bool{false, true} {
-		l := intoSpec(t)
-		if optimize {
-			if err := l.Optimize(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		wantToks, wantN, wantMode, wantStats, wantErr := l.TokenizeChunk(input, DefaultMode)
-		buf := make([]Token, 0, 1) // deliberately too small: must grow correctly
-		gotToks, gotN, gotMode, gotStats, gotErr := l.TokenizeChunkInto(buf, input, DefaultMode)
-		if !reflect.DeepEqual(wantToks, gotToks) || wantN != gotN || wantMode != gotMode ||
-			wantStats != gotStats || (wantErr == nil) != (gotErr == nil) {
-			t.Errorf("optimize=%v: chunk-into mismatch:\nwant %v %d %q %+v %v\ngot  %v %d %q %+v %v",
-				optimize, wantToks, wantN, wantMode, wantStats, wantErr, gotToks, gotN, gotMode, gotStats, gotErr)
-		}
+	l := intoSpec(t)
+	wantToks, wantN, wantMode, wantStats, wantErr := l.TokenizeChunk(input, DefaultMode)
+	buf := make([]Token, 0, 1) // deliberately too small: must grow correctly
+	gotToks, gotN, gotMode, gotStats, gotErr := l.TokenizeChunkInto(buf, input, DefaultMode)
+	if !reflect.DeepEqual(wantToks, gotToks) || wantN != gotN || wantMode != gotMode ||
+		wantStats != gotStats || (wantErr == nil) != (gotErr == nil) {
+		t.Errorf("chunk-into mismatch:\nwant %v %d %q %+v %v\ngot  %v %d %q %+v %v",
+			wantToks, wantN, wantMode, wantStats, wantErr, gotToks, gotN, gotMode, gotStats, gotErr)
+	}
 
-		rToks, rStats, rMode, rErr := l.TokenizeResume(input, DefaultMode)
-		iToks, iStats, iMode, iErr := l.TokenizeResumeInto(nil, input, DefaultMode)
-		if !reflect.DeepEqual(rToks, iToks) || rStats != iStats || rMode != iMode ||
-			(rErr == nil) != (iErr == nil) {
-			t.Errorf("optimize=%v: resume-into mismatch", optimize)
-		}
+	rToks, rStats, rMode, rErr := l.TokenizeResume(input, DefaultMode)
+	iToks, iStats, iMode, iErr := l.TokenizeResumeInto(nil, input, DefaultMode)
+	if !reflect.DeepEqual(rToks, iToks) || rStats != iStats || rMode != iMode ||
+		(rErr == nil) != (iErr == nil) {
+		t.Errorf("resume-into mismatch")
 	}
 }
 
@@ -51,9 +44,6 @@ func TestTokenizeIntoEquivalence(t *testing.T) {
 // results when the caller re-slices, and must reuse capacity.
 func TestTokenizeIntoReuse(t *testing.T) {
 	l := intoSpec(t)
-	if err := l.Optimize(); err != nil {
-		t.Fatal(err)
-	}
 	var buf []Token
 	toks, _, _, _, err := l.TokenizeChunkInto(buf[:0], []byte("aa 11 bb "), DefaultMode)
 	if err != nil {
@@ -72,14 +62,11 @@ func TestTokenizeIntoReuse(t *testing.T) {
 	}
 }
 
-// Steady-state scans draw their NFA/DFA runners from the per-mode pool:
-// after warm-up, tokenizing into a reused buffer performs no per-lexeme
-// allocations (the scan costs at most the one deferred pool return).
+// A steady-state scan into a reused buffer allocates nothing: the
+// merged table is read-only and shared, and the scan keeps its state
+// in locals.
 func TestTokenizeIntoSteadyStateAllocs(t *testing.T) {
 	l := intoSpec(t)
-	if err := l.Optimize(); err != nil {
-		t.Fatal(err)
-	}
 	input := []byte("abc 123 de 4 fgh 55 iii 666 jj 7 kkk 88 l 9 mm 10")
 	var buf []Token
 	scan := func() {
@@ -89,9 +76,8 @@ func TestTokenizeIntoSteadyStateAllocs(t *testing.T) {
 		}
 		buf = toks
 	}
-	scan() // warm-up: grow buf, populate the runner pool
-	allocs := testing.AllocsPerRun(500, scan)
-	if allocs > 2 {
-		t.Errorf("steady-state scan = %v allocs, want ≤ 2 (runner pooling defeated?)", allocs)
+	scan() // warm-up: grow buf
+	if allocs := testing.AllocsPerRun(500, scan); allocs != 0 {
+		t.Errorf("steady-state scan = %v allocs, want 0", allocs)
 	}
 }

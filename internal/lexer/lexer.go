@@ -6,12 +6,20 @@
 // selects which rules are live in the current lexer mode. Each emitted
 // report is converted to a token and handed to the DPDA input buffer in
 // two cycles.
+//
+// In software the NFAs are the construction, not the runtime: New
+// determinizes every mode and merges the DFAs into one dense table
+// under integer mode indices, and both the Token API and the code path
+// (Bound.Scan, which writes machine codes straight into the buffer the
+// parser feeds) run the same longest-match loop over it. Stats still
+// count the NFA's symbol and handoff cycles, so the hardware model sees
+// the same inputs.
 package lexer
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
-	"sync"
 
 	"aspen/internal/core"
 	"aspen/internal/nfa"
@@ -63,7 +71,8 @@ type Stats struct {
 	// lexemes).
 	Tokens int
 	// ScanCycles counts NFA symbol cycles, including the lookahead
-	// bytes re-scanned after each longest-match backtrack.
+	// bytes re-scanned after each longest-match backtrack and the bytes
+	// a self-loop jump passes over.
 	ScanCycles int
 	// HandoffCycles counts report-to-token conversion cycles (2 per
 	// emitted report, §V-A).
@@ -94,53 +103,53 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("lexer %s: no rule matches at offset %d (byte %q, mode %s)", e.Spec, e.Pos, e.Byte, e.Mode)
 }
 
-// modeNFA is the compiled automaton of one mode: rule indices are mapped
-// to per-mode report codes.
-type modeNFA struct {
-	n     *nfa.NFA
-	dfa   *nfa.DFA // fast path, built by Optimize
-	rules []int    // report code → rule index
-	runs  sync.Pool
-}
+// Per-state kind bits, carried in the low byte of every table entry
+// that leads to the state. A state with none set is an interior state
+// of some lexeme: the scan steps straight on.
+const (
+	kindDead   = 1 << iota // state 0: no rule can match any more
+	kindAccept             // some rule's lexeme may end here
+	kindLoop               // loops to itself on every byte but exit[s]
 
-// stepper abstracts the NFA active-set run and the determinized run.
-// Both runners rewind in place, so one runner serves every lexeme of a
-// scan — and, through the pool, every scan of the process.
-type stepper interface {
-	Step(sym core.Symbol) (alive bool, report int32)
-	Reset()
-}
+	kindMask = 0xff
+)
 
-// newRun returns the fastest available runner for the mode.
-func (mn *modeNFA) newRun() stepper {
-	if mn.dfa != nil {
-		return mn.dfa.NewRun()
-	}
-	return mn.n.NewRun()
-}
+// Per-state emission codes: a machine code ≥ 0, or one of these.
+const (
+	emitSkip = -1 // a skip rule's lexeme is dropped
+	emitNone = -2 // the rule's name is not a terminal of the bound machine
+)
 
-// getRun returns a rewound runner, reusing a pooled one when available.
-// A Lexer is shared by every parser of its Language (concurrent scans
-// under the serving path), hence a sync.Pool rather than a cached field.
-func (mn *modeNFA) getRun() stepper {
-	if v := mn.runs.Get(); v != nil {
-		r := v.(stepper)
-		r.Reset()
-		return r
-	}
-	return mn.newRun()
-}
-
-func (mn *modeNFA) putRun(r stepper) { mn.runs.Put(r) }
-
-// Lexer is a compiled tokenizer.
+// Lexer is a compiled tokenizer: every mode's DFA merged into one dense
+// table under integer mode indices. Mode 0 is DefaultMode; the others
+// follow in name order. A Lexer is immutable, so one serves concurrent
+// scans.
 type Lexer struct {
 	spec  Spec
-	modes map[string]*modeNFA
+	modes []string // mode index → name
+	start []uint32 // mode index → the table entry of the mode's start state
+
+	// trans is the merged transition table. An entry names a state t as
+	// t<<8 | kind(t), which is both t's row offset and its kind bits:
+	// the entry for byte b in the state named e is trans[e&^kindMask|b].
+	// State 0 is dead and absorbs every byte.
+	trans []uint32
+	// Per state: for an accept state the rule it accepts (the earliest
+	// rule on a tie; -1 if it accepts none), the mode in effect after
+	// that rule, and the Token API's emission code (0 or emitSkip); for
+	// a kindLoop state the one byte that leaves it.
+	rule []int32
+	next []int32
+	emit []int16
+	exit []byte
 }
 
-// New compiles a spec. All patterns must be non-nullable (a rule matching
-// the empty string could never advance the input).
+// New compiles a spec: each mode's rules become one NFA, which is
+// determinized (subset construction, so a scan costs one table lookup
+// per byte) and merged into the lexer's table. All patterns must be
+// non-nullable (a rule matching the empty string could never advance
+// the input), and a mode whose DFA exceeds the subset construction's
+// state cap is an error.
 func New(spec Spec) (*Lexer, error) {
 	byMode := map[string][]int{}
 	for i, r := range spec.Rules {
@@ -159,13 +168,22 @@ func New(spec Spec) (*Lexer, error) {
 			return nil, fmt.Errorf("lexer %s: rule %q switches to undefined mode %q", spec.Name, r.Name, r.SetMode)
 		}
 	}
-	l := &Lexer{spec: spec, modes: map[string]*modeNFA{}}
 	modes := make([]string, 0, len(byMode))
 	for m := range byMode {
-		modes = append(modes, m)
+		if m != DefaultMode {
+			modes = append(modes, m)
+		}
 	}
 	sort.Strings(modes)
-	for _, m := range modes {
+	modes = append([]string{DefaultMode}, modes...)
+	index := make(map[string]int32, len(modes))
+	for i, m := range modes {
+		index[m] = int32(i)
+	}
+
+	dfas := make([]*nfa.DFA, len(modes))
+	states := 1 // the dead state
+	for mi, m := range modes {
 		idxs := byMode[m]
 		pats := make([]string, len(idxs))
 		for j, i := range idxs {
@@ -179,7 +197,73 @@ func New(spec Spec) (*Lexer, error) {
 			return nil, fmt.Errorf("lexer %s mode %s: rule %q matches the empty string",
 				spec.Name, m, spec.Rules[idxs[n.EmptyReport]].Name)
 		}
-		l.modes[m] = &modeNFA{n: n, rules: idxs}
+		d, err := n.Determinize()
+		if err != nil {
+			return nil, fmt.Errorf("lexer %s mode %s: %w", spec.Name, m, err)
+		}
+		dfas[mi] = d
+		states += d.NumStates()
+	}
+
+	l := &Lexer{
+		spec:  spec,
+		modes: modes,
+		start: make([]uint32, len(modes)),
+		trans: make([]uint32, states<<8),
+		rule:  make([]int32, states),
+		next:  make([]int32, states),
+		emit:  make([]int16, states),
+		exit:  make([]byte, states),
+	}
+	// Lay the mode DFAs out one after another behind the dead state,
+	// first with plain state numbers.
+	kind := make([]uint32, states)
+	kind[0], l.rule[0] = kindDead, -1
+	base := uint32(1)
+	for mi, d := range dfas {
+		idxs := byMode[modes[mi]]
+		l.start[mi] = base + uint32(d.Start)
+		for s := range d.Report {
+			ms := base + uint32(s)
+			row := l.trans[ms<<8 : ms<<8+256]
+			for b, t := range d.Trans[s<<8 : s<<8+256] {
+				if t >= 0 {
+					row[b] = base + uint32(t)
+				}
+			}
+			l.rule[ms], l.next[ms] = -1, int32(mi)
+			if rep := d.Report[s]; rep >= 0 {
+				r := &spec.Rules[idxs[rep]]
+				kind[ms] = kindAccept
+				l.rule[ms] = int32(idxs[rep])
+				if r.SetMode != "" {
+					l.next[ms] = index[r.SetMode]
+				}
+				if r.Skip {
+					l.emit[ms] = emitSkip
+				}
+			}
+			// A state that leaves itself on exactly one byte lets the
+			// scan jump to that byte instead of stepping each one.
+			exits, exit := 0, 0
+			for b, t := range row {
+				if t != ms {
+					exits, exit = exits+1, b
+				}
+			}
+			if exits == 1 {
+				kind[ms] |= kindLoop
+				l.exit[ms] = byte(exit)
+			}
+		}
+		base += uint32(d.NumStates())
+	}
+	// Then name every state by its entry.
+	for i, t := range l.trans {
+		l.trans[i] = t<<8 | kind[t]
+	}
+	for mi, t := range l.start {
+		l.start[mi] = t<<8 | kind[t]
 	}
 	return l, nil
 }
@@ -187,24 +271,18 @@ func New(spec Spec) (*Lexer, error) {
 // NumModes returns the number of lexer modes.
 func (l *Lexer) NumModes() int { return len(l.modes) }
 
-// Optimize determinizes each mode's NFA (subset construction) so
-// software scanning costs one table lookup per byte. Tokenization
-// behaviour is unchanged — the DFA preserves report codes and rule
-// priority — and the hardware model is unaffected (ASPEN runs the NFA
-// natively). Safe to call more than once.
-func (l *Lexer) Optimize() error {
-	for name, mn := range l.modes {
-		if mn.dfa != nil {
-			continue
+// Mode returns the index of the named mode.
+func (l *Lexer) Mode(name string) (int, bool) {
+	for i, m := range l.modes {
+		if m == name {
+			return i, true
 		}
-		d, err := mn.n.Determinize()
-		if err != nil {
-			return fmt.Errorf("lexer %s mode %s: %w", l.spec.Name, name, err)
-		}
-		mn.dfa = d
 	}
-	return nil
+	return 0, false
 }
+
+// ModeName returns the name of mode index m.
+func (l *Lexer) ModeName(m int) string { return l.modes[m] }
 
 // Tokenize scans input to completion, returning the non-skip tokens and
 // cycle statistics.
@@ -217,14 +295,14 @@ func (l *Lexer) Tokenize(input []byte) ([]Token, Stats, error) {
 // returns the mode in effect after the final token — the state a
 // streaming caller must carry across chunk boundaries.
 func (l *Lexer) TokenizeResume(input []byte, mode string) ([]Token, Stats, string, error) {
-	toks, _, mode, stats, err := l.scan(nil, input, mode, false)
+	toks, _, mode, stats, err := l.tokenize(nil, input, mode, false)
 	return toks, stats, mode, err
 }
 
 // TokenizeResumeInto is TokenizeResume appending into dst (pass
 // dst[:0] to reuse its capacity across calls, the pooled-parser path).
 func (l *Lexer) TokenizeResumeInto(dst []Token, input []byte, mode string) ([]Token, Stats, string, error) {
-	toks, _, mode, stats, err := l.scan(dst, input, mode, false)
+	toks, _, mode, stats, err := l.tokenize(dst, input, mode, false)
 	return toks, stats, mode, err
 }
 
@@ -236,91 +314,169 @@ func (l *Lexer) TokenizeResumeInto(dst []Token, input []byte, mode string) ([]To
 // consumption point; the caller re-presents input[consumed:] prefixed to
 // the next chunk.
 func (l *Lexer) TokenizeChunk(input []byte, mode string) (toks []Token, consumed int, endMode string, stats Stats, err error) {
-	return l.scan(nil, input, mode, true)
+	return l.tokenize(nil, input, mode, true)
 }
 
 // TokenizeChunkInto is TokenizeChunk appending into dst (pass dst[:0]
 // to reuse its capacity across chunks).
 func (l *Lexer) TokenizeChunkInto(dst []Token, input []byte, mode string) (toks []Token, consumed int, endMode string, stats Stats, err error) {
-	return l.scan(dst, input, mode, true)
+	return l.tokenize(dst, input, mode, true)
 }
 
-// scan is the shared tokenization loop. Tokens are appended to dst.
-func (l *Lexer) scan(dst []Token, input []byte, mode string, streaming bool) (toks []Token, consumed int, endMode string, stats Stats, err error) {
-	toks = dst
-	stats = Stats{Bytes: len(input)}
-	if _, ok := l.modes[mode]; !ok {
-		return toks, 0, mode, stats, fmt.Errorf("lexer %s: unknown mode %q", l.spec.Name, mode)
+// tokenize is the Token API's entry to scan: mode names in and out.
+func (l *Lexer) tokenize(dst []Token, input []byte, mode string, streaming bool) ([]Token, int, string, Stats, error) {
+	m, ok := l.Mode(mode)
+	if !ok {
+		return dst, 0, mode, Stats{Bytes: len(input)}, fmt.Errorf("lexer %s: unknown mode %q", l.spec.Name, mode)
 	}
-	// One runner per mode encountered, drawn from the mode's pool and
-	// rewound per lexeme: the scan costs O(modes) pool round-trips, not
-	// O(lexemes).
-	var run stepper
-	runMode := ""
-	defer func() {
-		if run != nil {
-			l.modes[runMode].putRun(run)
+	out := sink{emit: l.emit, toks: dst}
+	consumed, m, stats, err := l.scan(&out, input, m, streaming)
+	return out.toks, consumed, l.modes[m], stats, err
+}
+
+// Bound is a Lexer bound to one machine's input alphabet: each accept
+// state carries its rule's machine code, so the code path emits a
+// lexeme with one table load. Like the Lexer, it is immutable.
+type Bound struct {
+	*Lexer
+	emit []int16
+}
+
+// Bind resolves every accept state's rule to a machine code through
+// code, which reports ok=false for a rule whose name is not a terminal
+// of the machine. Skip rules are not asked.
+func (l *Lexer) Bind(code func(rule int) (core.Symbol, bool)) *Bound {
+	emit := make([]int16, len(l.emit))
+	for s, e := range l.emit {
+		emit[s] = e
+		if l.rule[s] < 0 || e == emitSkip {
+			continue
 		}
-	}()
+		emit[s] = emitNone
+		if c, ok := code(int(l.rule[s])); ok {
+			emit[s] = int16(c)
+		}
+	}
+	return &Bound{Lexer: l, emit: emit}
+}
+
+// Codes is the code path's output, reused across scans.
+type Codes struct {
+	// Syms holds the machine code of each non-skip lexeme in input
+	// order, up to the first lexeme whose rule is not a terminal.
+	Syms []core.Symbol
+	// Starts holds each code's lexeme start offset in the scanned input.
+	Starts []int
+	// NonTerminal is the rule of the first lexeme whose name is not a
+	// terminal of the bound machine, or -1. The scan lexes on past it,
+	// so a later lex error still surfaces, but emits no more codes.
+	NonTerminal int
+}
+
+// Scan lexes input starting in mode (an index), resetting out and
+// appending to it a code and start offset per non-skip lexeme. With
+// final false, input is a prefix of a longer stream and a lexeme alive
+// at its end is held back, as in TokenizeChunk; with final true the
+// input ends the stream, as in TokenizeResume. It returns the bytes
+// consumed, the mode there, and the scan's Stats; after a lex error out
+// holds the lexemes before it.
+func (b *Bound) Scan(out *Codes, input []byte, mode int, final bool) (consumed, endMode int, stats Stats, err error) {
+	out.Syms, out.Starts, out.NonTerminal = out.Syms[:0], out.Starts[:0], -1
+	return b.scan(&sink{emit: b.emit, codes: out}, input, mode, !final)
+}
+
+// sink receives a scan's lexemes through a per-state emission table:
+// Token values for the Token API (codes nil), or machine codes and
+// start offsets for the code path.
+type sink struct {
+	emit  []int16
+	toks  []Token
+	codes *Codes
+}
+
+// token appends the Token API's token for a lexeme accepted in state
+// acc.
+func (s *sink) token(l *Lexer, acc uint32, start, end int) {
+	r := l.rule[acc]
+	s.toks = append(s.toks, Token{Rule: int(r), Name: l.spec.Rules[r].Name, Start: start, End: end})
+}
+
+// scan is the longest-match loop every entry point runs. Each lexeme
+// steps the merged table from its mode's start state until the dead
+// state, remembering the last accept state; a kindLoop state jumps to
+// its exit byte with bytes.IndexByte, and the bytes it passes count as
+// stepped. The lexeme then emits, switches mode, and the next starts at
+// its end. When streaming, a lexeme still alive at the end of input is
+// held back: more input could extend it.
+func (l *Lexer) scan(out *sink, input []byte, mode int, streaming bool) (consumed, endMode int, stats Stats, err error) {
+	trans, emit := l.trans, out.emit
+	tokens := out.codes == nil
+	var (
+		syms    []core.Symbol
+		starts  []int
+		nonTerm = -1
+	)
+	if !tokens {
+		syms, starts = out.codes.Syms, out.codes.Starts
+	}
+	var cycles, lexemes, handoffs int
 	pos := 0
 	for pos < len(input) {
-		mn := l.modes[mode]
-		if run == nil || runMode != mode {
-			if run != nil {
-				l.modes[runMode].putRun(run)
-			}
-			run = mn.getRun()
-			runMode = mode
-		} else {
-			run.Reset()
-		}
-		best, bestRule := -1, -1
-		alive := false
+		t := l.start[mode]
+		best, acc := -1, uint32(0)
 		i := pos
 		for i < len(input) {
-			var rep int32
-			alive, rep = run.Step(core.Symbol(input[i]))
+			t = trans[t&^kindMask|uint32(input[i])]
 			i++
-			if rep >= 0 {
-				best, bestRule = i, mn.rules[rep]
+			if t&kindMask == 0 {
+				continue
 			}
-			if !alive {
+			if t&kindDead != 0 {
 				break
 			}
+			if t&kindAccept != 0 {
+				best, acc = i, t>>8
+			}
+			if t&kindLoop != 0 {
+				j := bytes.IndexByte(input[i:], l.exit[t>>8])
+				if j < 0 {
+					j = len(input) - i
+				}
+				i += j
+				if t&kindAccept != 0 {
+					best = i
+				}
+			}
 		}
-		stats.ScanCycles += i - pos
-		if streaming && alive {
-			// The lexeme reaches the chunk boundary with live states:
-			// the longest-match decision must wait for more input.
-			return toks, pos, mode, stats, nil
+		cycles += i - pos
+		if streaming && t&kindDead == 0 {
+			break
 		}
 		if best < 0 {
-			return toks, pos, mode, stats, &Error{Spec: l.spec.Name, Pos: pos, Byte: input[pos], Mode: mode}
+			err = &Error{Spec: l.spec.Name, Pos: pos, Byte: input[pos], Mode: l.modes[mode]}
+			break
 		}
-		rule := &l.spec.Rules[bestRule]
-		stats.Tokens++
-		if !rule.Skip {
-			toks = append(toks, Token{Rule: bestRule, Name: rule.Name, Start: pos, End: best})
-			stats.HandoffCycles += 2
+		lexemes++
+		if e := emit[acc]; e != emitSkip {
+			handoffs += 2
+			switch {
+			case tokens:
+				out.token(l, acc, pos, best)
+			case nonTerm >= 0:
+			case e >= 0:
+				syms = append(syms, core.Symbol(e))
+				starts = append(starts, pos)
+			default:
+				nonTerm = int(l.rule[acc])
+			}
 		}
-		if rule.SetMode != "" {
-			mode = rule.SetMode
-		}
+		mode = int(l.next[acc])
 		pos = best
 	}
-	return toks, pos, mode, stats, nil
-}
-
-// ModeAfter returns the mode in effect after applying rule's transition
-// to the given mode.
-func (l *Lexer) ModeAfter(mode string, rule int) string {
-	if rule < 0 || rule >= len(l.spec.Rules) {
-		return mode
+	if !tokens {
+		out.codes.Syms, out.codes.Starts, out.codes.NonTerminal = syms, starts, nonTerm
 	}
-	if sm := l.spec.Rules[rule].SetMode; sm != "" {
-		return sm
-	}
-	return mode
+	return pos, mode, Stats{Bytes: len(input), Tokens: lexemes, ScanCycles: cycles, HandoffCycles: handoffs}, err
 }
 
 // Text returns the lexeme of t within input.

@@ -2,7 +2,6 @@ package lexer
 
 import (
 	"errors"
-	"math/rand"
 	"strings"
 	"testing"
 )
@@ -155,79 +154,10 @@ func TestEmptyInput(t *testing.T) {
 	}
 }
 
-// Optimize (DFA fast path) must not change tokenization on any language
-// sample or on random inputs.
-func TestOptimizeEquivalence(t *testing.T) {
-	spec := Spec{
-		Name: "opt",
-		Rules: []Rule{
-			{Name: "IF", Pattern: "if"},
-			{Name: "ID", Pattern: `[a-z][a-z0-9]*`},
-			{Name: "NUM", Pattern: `\d+`},
-			{Name: "OP", Pattern: `[+*=<>-]`},
-			{Name: "LT", Pattern: `<`, SetMode: "tag"},
-			{Name: "NAME", Pattern: `[a-z]+`, Mode: "tag"},
-			{Name: "GT", Pattern: `>`, Mode: "tag", SetMode: DefaultMode},
-			{Name: "WS", Pattern: `\s+`, Skip: true},
-		},
-	}
-	plain, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fast.Optimize(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fast.Optimize(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(91))
-	alphabet := "if ab1+<x>*"
-	for trial := 0; trial < 500; trial++ {
-		buf := make([]byte, r.Intn(40))
-		for i := range buf {
-			buf[i] = alphabet[r.Intn(len(alphabet))]
-		}
-		t1, s1, e1 := plain.Tokenize(buf)
-		t2, s2, e2 := fast.Tokenize(buf)
-		if (e1 == nil) != (e2 == nil) {
-			t.Fatalf("error divergence on %q: %v vs %v", buf, e1, e2)
-		}
-		if s1.ScanCycles != s2.ScanCycles || s1.Tokens != s2.Tokens {
-			t.Fatalf("stats divergence on %q: %+v vs %+v", buf, s1, s2)
-		}
-		if len(t1) != len(t2) {
-			t.Fatalf("token count divergence on %q", buf)
-		}
-		for i := range t1 {
-			if t1[i] != t2[i] {
-				t.Fatalf("token %d divergence on %q: %+v vs %+v", i, buf, t1[i], t2[i])
-			}
-		}
-	}
-}
-
-func BenchmarkTokenizeNFA(b *testing.B) {
-	benchTokenize(b, false)
-}
-
-func BenchmarkTokenizeDFA(b *testing.B) {
-	benchTokenize(b, true)
-}
-
-func benchTokenize(b *testing.B, optimize bool) {
+func BenchmarkTokenize(b *testing.B) {
 	l, err := New(simpleSpec())
 	if err != nil {
 		b.Fatal(err)
-	}
-	if optimize {
-		if err := l.Optimize(); err != nil {
-			b.Fatal(err)
-		}
 	}
 	doc := []byte(strings.Repeat("if x1 + 42 foo 9 bar ", 500))
 	b.SetBytes(int64(len(doc)))

@@ -9,12 +9,12 @@ import (
 	"aspen/internal/lang"
 )
 
-// Steady-state budget for one g.parse call. The residual allocations
-// are the two deferred runner-return closures inside the lexer scan
-// (one per Write/Close call with input) plus small interface boxing;
-// everything proportional to the input — tokens, stack, runner state,
-// copy buffer, the parser itself — is pooled or reused. If this number
-// creeps up, something started allocating per request.
+// Steady-state budget for one g.parse call. Everything proportional to
+// the input — codes, stack, input tail, copy buffer, the parser itself —
+// is pooled or reused, and the lexer's table is read-only, so a warm
+// parse allocates nothing; the budget leaves room for small interface
+// boxing. If this number creeps up, something started allocating per
+// request.
 const steadyStateAllocBudget = 8
 
 // TestParseSteadyStateAllocs pins the acceptance criterion: after
@@ -44,8 +44,7 @@ func testParseSteadyStateAllocs(t *testing.T, eng string) {
 			t.Fatalf("parse: out=%+v retries=%d inputErr=%v sysErr=%v", out, retries, inputErr, sysErr)
 		}
 	}
-	// Warm the pools (parser, lexer runners, copy buffer) and let the
-	// reader settle.
+	// Warm the pools (parser, copy buffer) and let the reader settle.
 	for i := 0; i < 4; i++ {
 		run()
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -320,6 +321,31 @@ End
 		if snap.Counters[k] != 0 {
 			t.Errorf("%s = %d, want 0", k, snap.Counters[k])
 		}
+	}
+}
+
+// An upload whose tokenizer's DFA passes the determinization cap
+// answers 422 with a tokenizer diagnostic and loads nothing: the DFA is
+// the only lexing path, so there is no slower one to serve it on.
+func TestUploadLexerBlowupIs422(t *testing.T) {
+	s, ts := newTestServer(t, Options{Languages: []*lang.Language{lang.JSON()}})
+	src := "%name Blowup\n%token A\n%start S\nS : A ;\n%lex A [ab]*a" + strings.Repeat("[ab]", 13) + "\n"
+	status, raw := postUpload(t, ts, "Blowup", "grammar", src)
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", status, raw)
+	}
+	var rr RejectionResponse
+	if err := json.Unmarshal(raw, &rr); err != nil {
+		t.Fatalf("body not machine-readable: %v: %s", err, raw)
+	}
+	if rr.Admitted || len(rr.Diagnostics) == 0 {
+		t.Fatalf("admitted=%v diagnostics=%d", rr.Admitted, len(rr.Diagnostics))
+	}
+	if d := rr.Diagnostics[0]; d.Check != "parse" || !strings.HasPrefix(d.Message, "tokenizer: ") {
+		t.Errorf("rejected by %q: %s; want a parse-check tokenizer diagnostic", d.Check, d.Message)
+	}
+	if got := grammarNames(s.Grammars()); len(got) != 1 || got[0] != "JSON" {
+		t.Fatalf("rejected upload mutated the registry: %v", got)
 	}
 }
 

@@ -103,7 +103,7 @@ func (cp *Checkpoint) Verify() bool { return cp.Digest == cp.computeDigest() }
 // only takes them on clean boundaries.
 func (p *Parser) Checkpoint(cp *Checkpoint) {
 	p.exec.Checkpoint(&cp.Exec)
-	cp.Mode = p.mode
+	cp.Mode = p.lx.ModeName(p.mode)
 	cp.Tail = append(cp.Tail[:0], p.tail...)
 	cp.Offset = p.offset
 	cp.Tokens = p.tokens
@@ -123,7 +123,9 @@ var ErrMachineMismatch = errors.New("stream: checkpoint was taken on a different
 // aborted continuation. Both integrity seals are checked first: a
 // snapshot that fails either answers an error wrapping
 // core.ErrCheckpointCorrupt and leaves the parser untouched, so the
-// recovery layer fails the request instead of replaying garbage.
+// recovery layer fails the request instead of replaying garbage. A
+// snapshot from another machine build, or naming a lexer mode this
+// lexer lacks, is refused with an error before anything changes.
 // Telemetry keeps accumulating across the rollback (the counters
 // measure work performed, and replayed work is work), but the per-run
 // delta trackers rewind so post-restore deltas stay non-negative.
@@ -134,10 +136,14 @@ func (p *Parser) Restore(cp *Checkpoint) error {
 	if cp.Machine != p.mfp {
 		return fmt.Errorf("%w (snapshot %016x, this build %016x)", ErrMachineMismatch, cp.Machine, p.mfp)
 	}
+	mode, ok := p.lx.Mode(cp.Mode)
+	if !ok {
+		return fmt.Errorf("stream: checkpoint lexer mode %q is not a mode of this lexer", cp.Mode)
+	}
 	if err := p.exec.Restore(&cp.Exec); err != nil {
 		return fmt.Errorf("stream: %w", err)
 	}
-	p.mode = cp.Mode
+	p.mode = mode
 	p.tail = append(p.tail[:0], cp.Tail...)
 	p.offset = cp.Offset
 	p.tokens = cp.Tokens

@@ -275,3 +275,38 @@ func TestStreamCheckpointDigestRejectsTamper(t *testing.T) {
 		t.Fatalf("parse after refused restores: out=%+v err=%v", out, err)
 	}
 }
+
+// A checkpoint naming a lexer mode this parser's lexer lacks — sealed,
+// so it passes the integrity check — is refused with an error and
+// leaves the parser as it was.
+func TestStreamRestoreUnknownMode(t *testing.T) {
+	l := lang.XML()
+	cm, err := l.Compile(compile.OptAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewParser(l, cm, core.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Write([]byte(`<a x="1">text<b`)); err != nil {
+		t.Fatal(err)
+	}
+	var cp Checkpoint
+	p.Checkpoint(&cp)
+	if cp.Mode != "tagname" {
+		t.Fatalf("checkpoint mode = %q, want the name %q", cp.Mode, "tagname")
+	}
+	bad := cp
+	bad.Mode = "nosuch"
+	bad.Seal()
+	if err := p.Restore(&bad); err == nil {
+		t.Fatal("Restore accepted a mode the lexer lacks")
+	}
+	if _, err := p.Write([]byte(`/></a>`)); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := p.Close(); err != nil || !out.Accepted {
+		t.Fatalf("parse after the refused restore: out=%+v err=%v", out, err)
+	}
+}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"aspen/internal/compile"
@@ -106,5 +107,75 @@ func TestResetTelemetryAccumulates(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["stream_cycles_total"]; got != 2*once {
 		t.Errorf("cycles after reset run = %d, want %d (2× first run)", got, 2*once)
+	}
+}
+
+// A pooled parser keeps its grown buffers through Close and Reset, so
+// re-parsing a document that spans several chunks — with lexemes held
+// back across every boundary — allocates nothing.
+func TestResetReparseAllocatesNothing(t *testing.T) {
+	l := lang.JSON()
+	cm, err := l.Compile(compile.OptAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewParser(l, cm, core.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := []byte(`[` + strings.Repeat(`{"key": "value", "n": [1, 2.5, -3e4]}, `, 400) + `null]`)
+	const chunk = 4 << 10
+	if len(doc) < 3*chunk {
+		t.Fatalf("document is %d bytes, want at least 3 chunks of %d", len(doc), chunk)
+	}
+	parse := func() {
+		p.Reset()
+		for off := 0; off < len(doc); off += chunk {
+			if _, err := p.Write(doc[off:min(off+chunk, len(doc))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if out, err := p.Close(); err != nil || !out.Accepted {
+			t.Fatalf("parse: out=%+v err=%v", out, err)
+		}
+	}
+	parse() // warm-up: grow the tail, the code scratch and the stack
+	if allocs := testing.AllocsPerRun(20, parse); allocs != 0 {
+		t.Errorf("reset re-parse = %v allocs/run, want 0", allocs)
+	}
+}
+
+// A tail grown past maxKeptTail by one huge lexeme is released at
+// Close instead of being pinned in a parser pool; an ordinary one is
+// kept for the next parse.
+func TestCloseReleasesOversizedTail(t *testing.T) {
+	l := lang.JSON()
+	cm, err := l.Compile(compile.OptAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewParser(l, cm, core.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parse := func(doc []byte) {
+		t.Helper()
+		p.Reset()
+		for off := 0; off < len(doc); off += 32 << 10 {
+			if _, err := p.Write(doc[off:min(off+32<<10, len(doc))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if out, err := p.Close(); err != nil || !out.Accepted {
+			t.Fatalf("parse: out=%+v err=%v", out, err)
+		}
+	}
+	parse([]byte(`"` + strings.Repeat("x", 2*maxKeptTail) + `"`))
+	if c := cap(p.tail); c != 0 {
+		t.Errorf("after a %d-byte lexeme the tail keeps %d bytes, want it released", 2*maxKeptTail, c)
+	}
+	parse([]byte(`["short", "strings", "only"]`))
+	if c := cap(p.tail); c == 0 || c > maxKeptTail {
+		t.Errorf("after a small document the tail keeps %d bytes, want 1..%d", c, maxKeptTail)
 	}
 }

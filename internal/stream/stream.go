@@ -46,25 +46,24 @@ type Runner func(codes []core.Symbol) (fed int, jammed bool, err error)
 // endCodes is the endmarker Close feeds after the last token.
 var endCodes = []core.Symbol{compile.EndCode}
 
+// maxKeptTail bounds the tail capacity a parser keeps across Close and
+// Reset: four of serving's 32 KiB reads. A tail grown past it by one
+// huge lexeme is released rather than pinned in a parser pool.
+const maxKeptTail = 4 * (32 << 10)
+
 // Parser is an incremental lex+parse pipeline.
 type Parser struct {
 	l    *lang.Language
 	cm   *compile.Compiled
-	lx   *lexer.Lexer
+	lx   *lexer.Bound // the lexer, its accept states bound to cm's codes
 	exec Backend
 	run  Runner // exec.FeedAll unless SetRunner replaced it
 	mfp  uint64 // machine fingerprint, stamped into checkpoints
 
-	// ruleCodes maps a lexer rule index straight to its machine input
-	// code (-1 = not a terminal), replacing two map lookups per token
-	// on the feed path.
-	ruleCodes []int16
-	codes     []core.Symbol // per-chunk code scratch, reused across Writes
-
-	mode   string
-	tail   []byte        // bytes not yet safely tokenized
-	toks   []lexer.Token // per-chunk token scratch, reused across Writes
-	offset int           // stream offset of tail[0]
+	scan   lexer.Codes // per-chunk codes and lexeme starts, reused across Writes
+	mode   int         // lexer mode index; 0 is lexer.DefaultMode
+	tail   []byte      // bytes not yet safely tokenized
+	offset int         // stream offset of tail[0]
 
 	tokens   int
 	lexStats lexer.Stats
@@ -161,23 +160,14 @@ func NewParserBackend(l *lang.Language, cm *compile.Compiled, b Backend) (*Parse
 	if err != nil {
 		return nil, err
 	}
-	rc := make([]int16, len(l.LexSpec.Rules))
-	for i, r := range l.LexSpec.Rules {
-		rc[i] = -1
-		if r.Skip {
-			continue
-		}
-		if code, ok := cm.Tokens.Code(l.Grammar.Lookup(r.Name)); ok {
-			rc[i] = int16(code)
-		}
-	}
+	bound := lx.Bind(func(rule int) (core.Symbol, bool) {
+		return cm.Tokens.Code(l.Grammar.Lookup(l.LexSpec.Rules[rule].Name))
+	})
 	return &Parser{
-		l: l, cm: cm, lx: lx,
-		exec:      b,
-		run:       b.FeedAll,
-		ruleCodes: rc,
-		mfp:       cm.Machine.Fingerprint(),
-		mode:      lexer.DefaultMode,
+		l: l, cm: cm, lx: bound,
+		exec: b,
+		run:  b.FeedAll,
+		mfp:  cm.Machine.Fingerprint(),
 	}, nil
 }
 
@@ -202,16 +192,17 @@ func (p *Parser) Execution() *core.Execution {
 // Reset rewinds the parser to its initial configuration — start state,
 // empty stack, default lexer mode, zeroed counters — without touching
 // the compiled machine or the lexer, so a pooled parser is reused
-// across requests with zero compile work. Grown buffers (input tail,
-// token scratch, execution stack) keep their capacity; after a warm-up
-// run the reset parser's steady-state path allocates nothing. A reset
-// parser is equivalent to a freshly constructed one (asserted by
-// TestResetEquivalence). Telemetry routing survives the reset; the
-// registry totals keep accumulating across reuses.
+// across requests with zero compile work. Grown buffers (code scratch,
+// execution stack, and the input tail up to maxKeptTail) keep their
+// capacity; after a warm-up run the reset parser's steady-state path
+// allocates nothing. A reset parser is equivalent to a freshly
+// constructed one (asserted by TestResetEquivalence). Telemetry routing
+// survives the reset; the registry totals keep accumulating across
+// reuses.
 func (p *Parser) Reset() {
 	p.exec.Reset()
-	p.mode = lexer.DefaultMode
-	p.tail = p.tail[:0]
+	p.mode = 0 // lexer.DefaultMode
+	p.dropTail()
 	p.offset = 0
 	p.tokens = 0
 	p.lexStats = lexer.Stats{}
@@ -239,14 +230,13 @@ func (p *Parser) Write(chunk []byte) (int, error) {
 		p.tm.lastChunkBytes.SetInt(int64(len(chunk)))
 	}
 	p.tail = append(p.tail, chunk...)
-	toks, consumed, mode, stats, err := p.lx.TokenizeChunkInto(p.toks[:0], p.tail, p.mode)
-	p.toks = toks
+	consumed, mode, stats, err := p.lx.Scan(&p.scan, p.tail, p.mode, false)
 	p.accumulate(stats)
 	if err != nil {
 		p.err = p.locate(err)
 		return 0, p.err
 	}
-	if ferr := p.feed(toks); ferr != nil {
+	if ferr := p.feed(); ferr != nil {
 		p.err = ferr
 		return 0, p.err
 	}
@@ -270,19 +260,18 @@ func (p *Parser) Close() (Outcome, error) {
 	}
 	p.closed = true
 	// Final tokenization: end-of-stream semantics.
-	toks, stats, _, err := p.lx.TokenizeResumeInto(p.toks[:0], p.tail, p.mode)
-	p.toks = toks
+	_, _, stats, err := p.lx.Scan(&p.scan, p.tail, p.mode, true)
 	p.accumulate(stats)
 	if err != nil {
 		p.err = p.locate(err)
 		return p.outcome(), p.err
 	}
-	if ferr := p.feed(toks); ferr != nil {
+	if ferr := p.feed(); ferr != nil {
 		p.err = ferr
 		return p.outcome(), p.err
 	}
 	p.offset += len(p.tail)
-	p.tail = nil
+	p.dropTail()
 	// Endmarker + trailing ε-moves.
 	if !p.jammed {
 		_, jammed, err := p.run(endCodes)
@@ -304,41 +293,29 @@ func (p *Parser) Close() (Outcome, error) {
 	return p.outcome(), nil
 }
 
-// tokenCode resolves a token's machine input code through the
-// precomputed rule table.
-func (p *Parser) tokenCode(tk lexer.Token) (core.Symbol, bool) {
-	if tk.Rule >= 0 && tk.Rule < len(p.ruleCodes) {
-		if c := p.ruleCodes[tk.Rule]; c >= 0 {
-			return core.Symbol(c), true
-		}
+// dropTail empties the tail, keeping its buffer unless it grew past
+// maxKeptTail.
+func (p *Parser) dropTail() {
+	if cap(p.tail) > maxKeptTail {
+		p.tail = nil
+		return
 	}
-	return 0, false
+	p.tail = p.tail[:0]
 }
 
-// feed translates a chunk's tokens to machine codes and consumes them
-// in one run call. A fed token counts; a jamming token counts and
-// records its position; a machine fault leaves the faulting token
-// uncounted. A non-terminal token truncates the translated prefix: the
-// prefix is consumed first, and the error surfaces only if the machine
-// got through it.
-func (p *Parser) feed(toks []lexer.Token) error {
+// feed consumes the codes the chunk's scan wrote in one run call. A fed
+// token counts; a jamming token counts and records its position; a
+// machine fault leaves the faulting token uncounted. A non-terminal
+// token ends the codes the scan wrote: that prefix is consumed first,
+// and the error surfaces only if the machine got through it.
+func (p *Parser) feed() error {
 	if p.jammed {
 		return nil
 	}
-	codes := p.codes[:0]
-	bad := -1
-	for i, tk := range toks {
-		code, ok := p.tokenCode(tk)
-		if !ok {
-			bad = i
-			break
-		}
-		codes = append(codes, code)
-	}
-	p.codes = codes
+	sc := &p.scan
 	fed, jammed, err := 0, false, error(nil)
-	if len(codes) > 0 {
-		fed, jammed, err = p.run(codes)
+	if len(sc.Syms) > 0 {
+		fed, jammed, err = p.run(sc.Syms)
 	}
 	p.tokens += fed
 	if err != nil {
@@ -347,11 +324,11 @@ func (p *Parser) feed(toks []lexer.Token) error {
 	if jammed {
 		p.tokens++
 		p.jammed = true
-		p.jamPos = p.offset + toks[fed].Start
+		p.jamPos = p.offset + sc.Starts[fed]
 		return nil
 	}
-	if bad >= 0 {
-		return fmt.Errorf("stream: token %q is not a terminal", toks[bad].Name)
+	if sc.NonTerminal >= 0 {
+		return fmt.Errorf("stream: token %q is not a terminal", p.l.LexSpec.Rules[sc.NonTerminal].Name)
 	}
 	return nil
 }

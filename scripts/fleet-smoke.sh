@@ -38,12 +38,18 @@ get() {
     fi
 }
 
-# wait_addr LOG PREFIX: poll a daemon log for its announced address.
+# wait_addr LOG PREFIX PID: poll a daemon log for its announced address.
+# The backgrounded daemon may not have created its log yet, so a missing
+# log reads as "not announced yet"; a daemon that has exited fails at
+# once.
 wait_addr() {
     addr=""
     for _ in $(seq 1 100); do
-        addr=$(sed -n "s#^$2: listening on http://##p" "$1")
-        [ -n "$addr" ] && return 0
+        if [ -f "$1" ]; then
+            addr=$(sed -n "s#^$2: listening on http://##p" "$1")
+            [ -n "$addr" ] && return 0
+        fi
+        kill -0 "$3" 2>/dev/null || fail "$2 exited before announcing its address (log $1)"
         sleep 0.1
     done
     fail "$2 never announced its address (log $1)"
@@ -83,7 +89,7 @@ while [ "$i" -le 3 ]; do
         -state-dir "$workdir/state$i" 2> "$workdir/node$i.log" &
     pids="$pids $!"
     eval "node${i}_pid=$!"
-    wait_addr "$workdir/node$i.log" aspend
+    wait_addr "$workdir/node$i.log" aspend "$!"
     eval "node${i}_addr=\$addr"
     nodes="$nodes,$addr"
     i=$((i + 1))
@@ -94,7 +100,7 @@ nodes=${nodes#,}
     -probe-interval 100ms -retry-backoff 10ms 2> "$workdir/router.log" &
 router_pid=$!
 pids="$pids $router_pid"
-wait_addr "$workdir/router.log" aspen-router
+wait_addr "$workdir/router.log" aspen-router "$!"
 router="http://$addr"
 wait_health "$router" '"status":"ok"' "initial fleet convergence"
 echo "fleet-smoke: router up on $router over 3 nodes"
@@ -173,7 +179,7 @@ echo "fleet-smoke: session failed over byte-identically; fleet degraded as expec
 "$workdir/aspend" -addr "$owner" -langs JSON,XML \
     -state-dir "$workdir/state$owner_idx" 2> "$workdir/node-revived.log" &
 pids="$pids $!"
-wait_addr "$workdir/node-revived.log" aspend
+wait_addr "$workdir/node-revived.log" aspend "$!"
 grep -q 'replayed' "$workdir/node-revived.log" ||
     fail "revived node did not replay its journal"
 wait_health "$router" '"status":"ok"' "reconvergence after restart"

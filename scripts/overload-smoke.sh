@@ -41,12 +41,18 @@ get() {
     fi
 }
 
-# wait_addr LOG PREFIX: poll a daemon log for its announced address.
+# wait_addr LOG PREFIX PID: poll a daemon log for its announced address.
+# The backgrounded daemon may not have created its log yet, so a missing
+# log reads as "not announced yet"; a daemon that has exited fails at
+# once.
 wait_addr() {
     addr=""
     for _ in $(seq 1 100); do
-        addr=$(sed -n "s#^$2: listening on http://##p" "$1")
-        [ -n "$addr" ] && return 0
+        if [ -f "$1" ]; then
+            addr=$(sed -n "s#^$2: listening on http://##p" "$1")
+            [ -n "$addr" ] && return 0
+        fi
+        kill -0 "$3" 2>/dev/null || fail "$2 exited before announcing its address (log $1)"
         sleep 0.1
     done
     fail "$2 never announced its address (log $1)"
@@ -86,14 +92,14 @@ $GO build -o "$workdir/aspen-router" ./cmd/aspen-router
 "$workdir/aspend" -addr 127.0.0.1:0 -langs JSON,XML \
     -workers 1 -queue -1 -latency-target 250ms 2> "$workdir/node1.log" &
 pids="$pids $!"
-wait_addr "$workdir/node1.log" aspend
+wait_addr "$workdir/node1.log" aspend "$!"
 node1=$addr
 
 "$workdir/aspend" -addr 127.0.0.1:0 -langs JSON,XML \
     -workers 1 -queue -1 -latency-target 250ms \
     -gray-rate 0.05 -gray-delay 2ms 2> "$workdir/node2.log" &
 pids="$pids $!"
-wait_addr "$workdir/node2.log" aspend
+wait_addr "$workdir/node2.log" aspend "$!"
 node2=$addr
 
 "$workdir/aspen-router" -addr 127.0.0.1:0 -nodes "$node1,$node2" \
@@ -101,7 +107,7 @@ node2=$addr
     -probe-interval 100ms -retry-backoff 10ms 2> "$workdir/router.log" &
 router_pid=$!
 pids="$pids $router_pid"
-wait_addr "$workdir/router.log" aspen-router
+wait_addr "$workdir/router.log" aspen-router "$!"
 router="http://$addr"
 wait_health "$router" '"status":"ok"' "initial fleet convergence"
 echo "overload-smoke: router up on $router (node1 $node1, node2 gray-slow $node2)"

@@ -41,8 +41,11 @@ get() {
 wait_up() {
     addr=""
     for _ in $(seq 1 50); do
-        addr=$(sed -n 's#^aspend: listening on http://##p' "$log")
-        [ -n "$addr" ] && break
+        # The backgrounded daemon may not have created its log yet.
+        if [ -f "$log" ]; then
+            addr=$(sed -n 's#^aspend: listening on http://##p' "$log")
+            [ -n "$addr" ] && break
+        fi
         kill -0 "$daemon_pid" 2>/dev/null || fail "daemon exited during startup"
         sleep 0.1
     done
