@@ -452,7 +452,6 @@ func TestFlagValidationExit2(t *testing.T) {
 	}{
 		{"verify-mode", []string{"-verify-mode", "bogus"}, "bogus"},
 		{"langs", []string{"-langs", "JSON,Klingon"}, "Klingon"},
-		{"engine", []string{"-engine", "turbo"}, "turbo"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -10,7 +10,6 @@
 //	aspend -addr 127.0.0.1:0 -langs JSON,XML -queue 32 -timeout 10s
 //	aspend -fabric-banks 128 -pprof-addr :6060 -metrics - -trace-out reqs.jsonl -trace-sample 100
 //	aspend -fault-rate 0.001 -fault-seed 42 -kill-bank-after 30s -verify-mode tmr
-//	aspend -engine sim   # pin every parse to the cycle-accurate simulator
 //	aspend -latency-target 50ms -brownout   # overload control: AIMD limit + brownout ladder
 //	aspend -gray-rate 0.01 -gray-delay 5ms  # chaos: gray-slow node (correct but stalling)
 //
@@ -52,7 +51,9 @@
 // context; dmr/tmr = redundant execution on disjoint banks, which
 // consumes real fabric capacity and visibly shrinks worker pools).
 // Answers stay byte-identical to a fault-free run — chaos costs
-// retries, never correctness.
+// retries, never correctness. Guarded parses run the cycle-accurate
+// simulator, whose execution hooks the detectors need; every other
+// parse runs on the grammar's lowered engine tables.
 package main
 
 import (
@@ -95,7 +96,6 @@ func main() {
 		flightSize  = flag.Int("flight", telemetry.DefaultFlightSize, "flight-recorder capacity: completed requests kept for /v1/debug/requests (slow/error requests keep a quarter of this on top)")
 		slowThresh  = flag.Duration("slow", time.Duration(telemetry.DefaultSlowNS), "latency at which a request is retained in the flight recorder's notable ring")
 		stateDir    = flag.String("state-dir", "", "durable control-plane state directory: registry mutations are journaled and replayed on restart, and ?session= parses checkpoint here (empty = in-memory only)")
-		engineSel   = flag.String("engine", serve.EngineFast, "execution backend: fast (table-driven engine) or sim (cycle-accurate simulator; chaos-guarded parses always run sim)")
 		latencyTgt  = flag.Duration("latency-target", serve.DefaultLatencyTarget, "parse-latency target the AIMD concurrency limiter steers toward")
 		brownout    = flag.Bool("brownout", false, "shed the cheapest-weight tenants first when the concurrency limiter collapses (see shed_total{reason=brownout})")
 		grayRate    = flag.Float64("gray-rate", 0, "chaos: per-activation latency-fault probability — the node stays correct but turns gray-slow (0 = no injection)")
@@ -125,10 +125,6 @@ func main() {
 	}
 
 	vm, err := verify.ParseMode(*verifyMode)
-	if err != nil {
-		usage("%v", err)
-	}
-	eng, err := serve.ParseEngine(*engineSel)
 	if err != nil {
 		usage("%v", err)
 	}
@@ -181,7 +177,6 @@ func main() {
 		Resolver:       serve.ResolveBuiltin,
 		FlightSize:     *flightSize,
 		SlowThreshold:  *slowThresh,
-		Engine:         eng,
 		LatencyTarget:  *latencyTgt,
 		Brownout:       *brownout,
 	})

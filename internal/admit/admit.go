@@ -166,8 +166,7 @@ type Result struct {
 	StackBound int
 	// States is the admitted machine's state count.
 	States int
-	// TableBytes is the fast-path engine table footprint (0 when the
-	// engine cannot lower this machine and it will run on the simulator).
+	// TableBytes is the lowered engine table footprint.
 	TableBytes int
 }
 
@@ -242,18 +241,18 @@ func Admit(name, format string, source []byte, lim Limits) (*Result, error) {
 		cm.Machine.StackDepth = 1
 	}
 
-	// Fast-path table ceiling. A machine the engine cannot lower
-	// structurally still admits — the registry falls back to the
-	// simulator and counts it — but one that lowers over the ceiling is
-	// a resource rejection.
-	tableBytes := 0
-	if prog, err := cm.Engine(); err == nil {
-		tableBytes = prog.TableBytes()
-		if kb := (tableBytes + 1023) / 1024; kb > lim.MaxTableKB {
-			return nil, reject(name, format, Diagnostic{
-				Check:   CheckLimits,
-				Message: fmt.Sprintf("engine tables are %d KiB; limit %d KiB", kb, lim.MaxTableKB)})
-		}
+	// Engine table ceiling. The registry serves unguarded parses only
+	// on the lowered engine, so a machine the engine cannot lower, or
+	// one that lowers over the ceiling, is a resource rejection.
+	prog, err := cm.Engine()
+	if err != nil {
+		return nil, reject(name, format, Diagnostic{Check: CheckLimits, Message: err.Error()})
+	}
+	tableBytes := prog.TableBytes()
+	if kb := (tableBytes + 1023) / 1024; kb > lim.MaxTableKB {
+		return nil, reject(name, format, Diagnostic{
+			Check:   CheckLimits,
+			Message: fmt.Sprintf("engine tables are %d KiB; limit %d KiB", kb, lim.MaxTableKB)})
 	}
 
 	l.StackBound = cm.Machine.StackDepth

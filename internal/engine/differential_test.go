@@ -239,7 +239,8 @@ func TestEngineDifferentialEpsilonLimit(t *testing.T) {
 // Checkpoints are interchangeable across backends: a parse checkpointed
 // under one backend resumes under the other, reproducing the
 // uninterrupted outcome byte for byte — the property that lets a
-// durable session survive an -engine flag flip across restarts.
+// durable session checkpointed on the simulator (by a daemon that served
+// it there) resume on the engine after a restart.
 func TestEngineDifferentialCheckpointInterop(t *testing.T) {
 	l := lang.JSON()
 	cm, err := l.Compile(compile.OptAll)

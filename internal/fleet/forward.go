@@ -211,7 +211,9 @@ func retryAfter(hdr http.Header) time.Duration {
 // Reports false when the context expired instead.
 func (rt *Router) backoff(ctx context.Context, attempt int, requested time.Duration) bool {
 	d := rt.opt.RetryBackoff << uint(attempt)
-	if max := 2 * time.Second; d > max {
+	// A late attempt shifts the base past int64 and wraps to a
+	// non-positive duration; it gets the cap too.
+	if max := 2 * time.Second; d > max || d <= 0 {
 		d = max
 	}
 	d += time.Duration(rand.Int63n(int64(d)/2 + 1))

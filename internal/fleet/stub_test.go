@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -280,5 +281,19 @@ func TestRouterExhaustsRetriesTo502(t *testing.T) {
 	}
 	if got := rt.m.retries.Value(); got == 0 {
 		t.Fatal("no retries recorded against an all-503 fleet")
+	}
+}
+
+// TestRouterBackoffLateAttempts: from attempt 38 the default 50 ms base
+// shifted by the attempt wraps past int64; such a backoff takes the cap
+// like any long one instead of panicking in the jitter draw.
+func TestRouterBackoffLateAttempts(t *testing.T) {
+	rt := &Router{opt: Options{RetryBackoff: DefaultRetryBackoff}}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, attempt := range []int{37, 38, 64} {
+		if rt.backoff(ctx, attempt, 0) {
+			t.Errorf("backoff(canceled ctx, attempt %d) = true, want false", attempt)
+		}
 	}
 }

@@ -20,17 +20,14 @@ const steadyStateAllocBudget = 8
 // TestParseSteadyStateAllocs pins the acceptance criterion: after
 // warmup, a parse performs zero grammar compiles and at most a fixed
 // small number of allocations, independent of how many requests ran.
-// Both execution backends are held to the same ceiling — the fast-path
-// engine (one pooled Exec per parser) must not buy its speed with
-// per-request garbage.
+// The fast-path engine (one pooled Exec per parser) must not buy its
+// speed with per-request garbage.
 func TestParseSteadyStateAllocs(t *testing.T) {
-	for _, eng := range []string{EngineFast, EngineSim} {
-		t.Run(eng, func(t *testing.T) { testParseSteadyStateAllocs(t, eng) })
-	}
+	t.Run("fast", testParseSteadyStateAllocs)
 }
 
-func testParseSteadyStateAllocs(t *testing.T, eng string) {
-	s, err := New(Options{Languages: []*lang.Language{lang.JSON()}, Engine: eng})
+func testParseSteadyStateAllocs(t *testing.T) {
+	s, err := New(Options{Languages: []*lang.Language{lang.JSON()}})
 	if err != nil {
 		t.Fatal(err)
 	}

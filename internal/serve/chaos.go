@@ -257,20 +257,11 @@ func (g *grammarEntry) recover(ctx context.Context, u *parserUnit, andClose bool
 // Guard's per-request verdict tallies; nil disables all of it.
 func (g *grammarEntry) parseGuarded(ctx context.Context, body io.Reader, sp *span) (out stream.Outcome, retries int, inputErr, sysErr error) {
 	if g.chaos == nil {
-		if g.fallback != nil {
-			g.fallback.Inc() // pool on the simulator: "config" or "compile"
-		}
 		out, inputErr, sysErr = g.parse(ctx, body, sp)
 		return out, 0, inputErr, sysErr
 	}
-	// Guarded parses run the simulator unconditionally: replica
-	// detection hangs off core.ExecHooks, which the engine deliberately
-	// doesn't carry.
-	if g.wantEngine {
-		g.em.fbChaos.Inc()
-	} else {
-		g.em.fbConfig.Inc()
-	}
+	// Guarded parses run the simulator: replica detection hangs off
+	// core.ExecHooks, which the engine deliberately doesn't carry.
 	allowed, probe := g.breaker.allow(time.Now())
 	if !allowed {
 		g.m.breakerDenied.Inc()

@@ -14,7 +14,6 @@ import (
 
 	"aspen/internal/arch"
 	"aspen/internal/lang"
-	"aspen/internal/telemetry"
 	"aspen/internal/verify"
 )
 
@@ -88,98 +87,83 @@ func TestChaosTransientByteIdentical(t *testing.T) {
 		want[i] = responseBytes(t, pr)
 	}
 
-	// The engine selector must not perturb any of this: guarded parses
-	// run the simulator regardless (counted as fallback reason "chaos"
-	// when the fast path was configured), so the byte-identity property
-	// holds under either flag value.
-	for _, engSel := range []string{EngineFast, EngineSim} {
-		for _, mode := range []verify.Mode{verify.ModeDMR, verify.ModeTMR} {
-			t.Run(mode.String()+"_"+engSel, func(t *testing.T) {
-				chaosSrv, chaos := newTestServer(t, Options{
-					Languages: langs,
-					Engine:    engSel,
-					// Calibration: activations ≈ 2/byte/replica, so a ≤256-byte
-					// replay window corrupts a given replica with p ≈ 0.4 at rate
-					// 1e-3. DMR rolls back on any single corruption (window fails
-					// ≈ 0.64), TMR arbitrates singles and only rolls back on ≥2;
-					// 30 attempts make exhaustion vanishingly unlikely either way.
-					Chaos: &ChaosOptions{
-						FaultRate:        1e-3,
-						FaultSeed:        0xC4A0_5EED,
-						CheckpointBytes:  256,
-						MaxAttempts:      30,
-						BackoffBase:      50 * time.Microsecond,
-						BackoffCap:       2 * time.Millisecond,
-						BreakerThreshold: -1, // exhaustion is the failure under test, not shedding
-						Verify:           mode,
-					},
-				})
-
-				const clients = 8
-				var wg sync.WaitGroup
-				errs := make(chan error, clients*len(cases))
-				for w := 0; w < clients; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for i, c := range cases {
-							chunk := 3 + (w+i)%11
-							resp, got := postChunked(t, chaos, c.grammar, c.doc, chunk)
-							if resp.StatusCode != http.StatusOK {
-								errs <- fmt.Errorf("client %d case %d: status %d", w, i, resp.StatusCode)
-								continue
-							}
-							if gb := responseBytes(t, got); !bytes.Equal(gb, want[i]) {
-								errs <- fmt.Errorf("client %d case %d: corrupted answer accepted:\nchaos %s\nclean %s", w, i, gb, want[i])
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-				close(errs)
-				for err := range errs {
-					t.Error(err)
-				}
-
-				// The run must actually have exercised the machinery: faults
-				// fired (ground truth) and the detectors both caught corruption
-				// (verify_* series) and recovered it.
-				snap := chaosSrv.Registry().Snapshot()
-				faults := snap.Counters["serve_JSON_fault_flips_total"] + snap.Counters["serve_JSON_fault_stuck_total"] +
-					snap.Counters["serve_XML_fault_flips_total"] + snap.Counters["serve_XML_fault_stuck_total"]
-				if faults == 0 {
-					t.Error("no transient faults fired — the chaos run tested nothing")
-				}
-				detected := snap.Counters["serve_JSON_verify_divergences_total"] + snap.Counters["serve_XML_verify_divergences_total"] +
-					snap.Counters["serve_JSON_verify_votes_total"] + snap.Counters["serve_XML_verify_votes_total"] +
-					snap.Counters["serve_JSON_verify_scrub_failures_total"] + snap.Counters["serve_XML_verify_scrub_failures_total"]
-				if detected == 0 {
-					t.Error("faults fired but no detector counter moved")
-				}
-				if mode == verify.ModeTMR {
-					if snap.Counters["serve_JSON_verify_votes_total"]+snap.Counters["serve_XML_verify_votes_total"] == 0 {
-						t.Error("TMR run arbitrated nothing — majority voting untested")
-					}
-				}
-				recoveries := snap.Counters["serve_JSON_recoveries_total"] + snap.Counters["serve_XML_recoveries_total"]
-				if mode == verify.ModeDMR && recoveries == 0 {
-					t.Error("faults fired but no recoveries recorded")
-				}
-				if snap.Counters["serve_JSON_recovery_exhausted_total"]+snap.Counters["serve_XML_recovery_exhausted_total"] > 0 {
-					t.Error("recovery exhausted during the transient-fault run (rate/attempts miscalibrated)")
-				}
-				// Every guarded request must be tallied as a simulator
-				// fallback under the reason the configuration implies.
-				reason := "chaos"
-				if engSel == EngineSim {
-					reason = "config"
-				}
-				fbName := telemetry.LabeledName("engine_fallback_total", "reason", reason)
-				if got := snap.Counters[fbName]; got == 0 {
-					t.Errorf("%s = 0: guarded parses were not counted as simulator fallbacks", fbName)
-				}
+	// The clean server answers on the engine, the guarded one on the
+	// simulator: byte identity also holds across the two backends.
+	for _, mode := range []verify.Mode{verify.ModeDMR, verify.ModeTMR} {
+		t.Run(mode.String(), func(t *testing.T) {
+			chaosSrv, chaos := newTestServer(t, Options{
+				Languages: langs,
+				// Calibration: activations ≈ 2/byte/replica, so a ≤256-byte
+				// replay window corrupts a given replica with p ≈ 0.4 at rate
+				// 1e-3. DMR rolls back on any single corruption (window fails
+				// ≈ 0.64), TMR arbitrates singles and only rolls back on ≥2;
+				// 30 attempts make exhaustion vanishingly unlikely either way.
+				Chaos: &ChaosOptions{
+					FaultRate:        1e-3,
+					FaultSeed:        0xC4A0_5EED,
+					CheckpointBytes:  256,
+					MaxAttempts:      30,
+					BackoffBase:      50 * time.Microsecond,
+					BackoffCap:       2 * time.Millisecond,
+					BreakerThreshold: -1, // exhaustion is the failure under test, not shedding
+					Verify:           mode,
+				},
 			})
-		}
+
+			const clients = 8
+			var wg sync.WaitGroup
+			errs := make(chan error, clients*len(cases))
+			for w := 0; w < clients; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i, c := range cases {
+						chunk := 3 + (w+i)%11
+						resp, got := postChunked(t, chaos, c.grammar, c.doc, chunk)
+						if resp.StatusCode != http.StatusOK {
+							errs <- fmt.Errorf("client %d case %d: status %d", w, i, resp.StatusCode)
+							continue
+						}
+						if gb := responseBytes(t, got); !bytes.Equal(gb, want[i]) {
+							errs <- fmt.Errorf("client %d case %d: corrupted answer accepted:\nchaos %s\nclean %s", w, i, gb, want[i])
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+
+			// The run must actually have exercised the machinery: faults
+			// fired (ground truth) and the detectors both caught corruption
+			// (verify_* series) and recovered it.
+			snap := chaosSrv.Registry().Snapshot()
+			faults := snap.Counters["serve_JSON_fault_flips_total"] + snap.Counters["serve_JSON_fault_stuck_total"] +
+				snap.Counters["serve_XML_fault_flips_total"] + snap.Counters["serve_XML_fault_stuck_total"]
+			if faults == 0 {
+				t.Error("no transient faults fired — the chaos run tested nothing")
+			}
+			detected := snap.Counters["serve_JSON_verify_divergences_total"] + snap.Counters["serve_XML_verify_divergences_total"] +
+				snap.Counters["serve_JSON_verify_votes_total"] + snap.Counters["serve_XML_verify_votes_total"] +
+				snap.Counters["serve_JSON_verify_scrub_failures_total"] + snap.Counters["serve_XML_verify_scrub_failures_total"]
+			if detected == 0 {
+				t.Error("faults fired but no detector counter moved")
+			}
+			if mode == verify.ModeTMR {
+				if snap.Counters["serve_JSON_verify_votes_total"]+snap.Counters["serve_XML_verify_votes_total"] == 0 {
+					t.Error("TMR run arbitrated nothing — majority voting untested")
+				}
+			}
+			recoveries := snap.Counters["serve_JSON_recoveries_total"] + snap.Counters["serve_XML_recoveries_total"]
+			if mode == verify.ModeDMR && recoveries == 0 {
+				t.Error("faults fired but no recoveries recorded")
+			}
+			if snap.Counters["serve_JSON_recovery_exhausted_total"]+snap.Counters["serve_XML_recovery_exhausted_total"] > 0 {
+				t.Error("recovery exhausted during the transient-fault run (rate/attempts miscalibrated)")
+			}
+		})
 	}
 }
 

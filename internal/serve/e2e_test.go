@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"aspen/internal/lang"
+	"aspen/internal/store"
 	"aspen/internal/telemetry"
 )
 
@@ -124,17 +125,14 @@ func xmlDoc(n int) []byte {
 // on every machine-side field. Run under -race this also proves the
 // pooled parsers never share state across concurrent requests.
 func TestE2EConcurrentChunked(t *testing.T) {
-	// Both execution backends answer identically; on the fast path the
-	// concurrent clients below each run on their own pooled engine.Exec.
-	for _, eng := range []string{EngineFast, EngineSim} {
-		t.Run(eng, func(t *testing.T) { testE2EConcurrentChunked(t, eng) })
-	}
+	// On the fast path the concurrent clients below each run on their
+	// own pooled engine.Exec.
+	t.Run("fast", testE2EConcurrentChunked)
 }
 
-func testE2EConcurrentChunked(t *testing.T, eng string) {
+func testE2EConcurrentChunked(t *testing.T) {
 	s, ts := newTestServer(t, Options{
 		Languages: []*lang.Language{lang.JSON(), lang.XML()},
-		Engine:    eng,
 	})
 	type tc struct {
 		grammar  string
@@ -195,22 +193,8 @@ func testE2EConcurrentChunked(t *testing.T, eng string) {
 		t.Errorf("serve_compiles_total = %d, want 2 (startup only)", got)
 	}
 	for _, gi := range s.Grammars() {
-		if gi.Engine != eng {
-			t.Errorf("%s: /v1/grammars engine = %q, want %q", gi.Name, gi.Engine, eng)
-		}
-	}
-	switch eng {
-	case EngineFast:
-		for _, reason := range []string{"config", "chaos", "compile"} {
-			name := telemetry.LabeledName("engine_fallback_total", "reason", reason)
-			if got := snap.Counters[name]; got != 0 {
-				t.Errorf("%s = %d, want 0 on an unguarded fast-path server", name, got)
-			}
-		}
-	case EngineSim:
-		name := telemetry.LabeledName("engine_fallback_total", "reason", "config")
-		if got := snap.Counters[name]; got != wantTotal {
-			t.Errorf("%s = %d, want %d (every request pinned to the simulator)", name, got, wantTotal)
+		if gi.EngineTableKB <= 0 {
+			t.Errorf("%s: /v1/grammars engineTableKB = %d, want > 0", gi.Name, gi.EngineTableKB)
 		}
 	}
 }
@@ -435,25 +419,61 @@ func TestRoutingAndLimits(t *testing.T) {
 	}
 }
 
-// Sampled request traces reach the sink with the per-request shape.
+// Sampled request traces: every TraceSample-th concluded request —
+// whole document or a durable session's final chunk, never a partial
+// chunk's ack — reaches the sink, carrying the fields its answer had.
 func TestTraceSampling(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
 	sink := telemetry.NewRingSink(16)
 	_, ts := newTestServer(t, Options{
 		Languages:   []*lang.Language{lang.JSON()},
+		Store:       st,
 		Trace:       sink,
 		TraceSample: 2, // every 2nd request
 	})
-	for i := 0; i < 4; i++ {
-		if resp, _ := postWhole(t, ts, "JSON", []byte(`[1]`)); resp.StatusCode != http.StatusOK {
-			t.Fatal("parse failed")
+	post := func(query, body string) ParseResponse {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/parse/JSON"+query, "application/octet-stream", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %q: status %d", query, resp.StatusCode)
+		}
+		var pr ParseResponse
+		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+			t.Fatal(err)
+		}
+		return pr
 	}
+	post("", `[1]`)
+	rejected := post("", `[1, 2`) // concluded #2: sampled
+	post("", `[1, 2, 3]`)
+	if ack := post("?session=tr", `{"k": [1, 2`); !ack.Partial {
+		t.Fatalf("first session chunk answered %+v, want a partial ack", ack)
+	}
+	final := post("?session=tr&final=1", `, 3], "s": "str"}`) // concluded #4: sampled
+
 	evs := sink.Events()
 	if len(evs) != 2 {
-		t.Fatalf("sampled %d events, want 2", len(evs))
+		t.Fatalf("sampled %d events, want 2 (concluded requests 2 and 4)", len(evs))
 	}
-	ev, ok := evs[0].(map[string]any)
-	if !ok || ev["event"] != "serve.request" || ev["grammar"] != "JSON" {
-		t.Errorf("trace event shape: %+v", evs[0])
+	for i, want := range []ParseResponse{rejected, final} {
+		ev, ok := evs[i].(map[string]any)
+		if !ok || ev["event"] != "serve.request" {
+			t.Fatalf("event %d shape: %+v", i, evs[i])
+		}
+		if ev["grammar"] != want.Grammar || ev["accepted"] != want.Accepted ||
+			ev["bytes"] != want.Bytes || ev["tokens"] != want.Tokens {
+			t.Errorf("event %d = %+v, answer was %+v", i, ev, want)
+		}
+	}
+	if rejected.Accepted || !final.Accepted || final.Bytes != len(`{"k": [1, 2, 3], "s": "str"}`) {
+		t.Errorf("answers: rejected %+v, final %+v", rejected, final)
 	}
 }

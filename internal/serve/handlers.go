@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"aspen/internal/core"
+	"aspen/internal/stream"
 	"aspen/internal/telemetry"
 )
 
@@ -221,7 +222,6 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	}
 	out, retries, inputErr, sysErr := g.parseGuarded(ctx, body, &sp)
 	sp.retries = int32(retries)
-	sp.bytes = int64(out.Bytes)
 	parseNS := time.Since(start).Nanoseconds() - queueNS
 
 	// Feed the control loops: completed parses (and deadline blowouts,
@@ -238,20 +238,27 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		s.writeSysErr(w, &sp, g, sysErr)
 		return
 	}
+	s.respond(w, &sp, g, "", out, inputErr, start, queueNS)
+}
 
+// respond answers a concluded parse — a whole document, or a durable
+// session's final chunk (session is then its ID) — and counts its
+// outcome. start and queueNS date the request and its scheduler wait.
+func (s *Server) respond(w http.ResponseWriter, sp *span, g *grammarEntry, session string, out stream.Outcome, inputErr error, start time.Time, queueNS int64) {
+	sp.bytes = int64(out.Bytes)
 	// A stack-depth overflow is the client's document exceeding the
 	// provisioned nesting budget — a well-defined rejection (422), not a
 	// machine fault: it must not count as an error, trip the breaker, or
 	// trigger replay (it is deterministic; replaying reproduces it).
 	if errors.Is(inputErr, core.ErrStackOverflow) {
 		g.m.rejectedDepth.Inc()
-		s.writeErr(w, &sp, g, http.StatusUnprocessableEntity, outcomeDepth,
+		s.writeErr(w, sp, g, http.StatusUnprocessableEntity, outcomeDepth,
 			"input exceeds the provisioned stack depth for grammar "+g.name+": "+inputErr.Error())
 		return
 	}
-
 	resp := ParseResponse{
 		Grammar:       g.name,
+		Session:       session,
 		Accepted:      out.Accepted,
 		Bytes:         out.Bytes,
 		Tokens:        out.Tokens,
@@ -261,7 +268,7 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		MaxStackDepth: out.Result.MaxStackDepth,
 		Reports:       out.Result.ReportCount,
 		QueueNS:       queueNS,
-		ParseNS:       parseNS,
+		ParseNS:       time.Since(start).Nanoseconds() - queueNS,
 	}
 	switch {
 	case inputErr != nil:
@@ -280,7 +287,7 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 	s.m.requestNS.ObserveInt(total)
 	g.m.requestNS.ObserveInt(total)
 	s.sampleTrace(g, &resp, total)
-	t0 := time.Now()
+	t0 := sp.now()
 	writeJSON(w, http.StatusOK, resp)
 	sp.addSince(phaseRespond, t0)
 }
@@ -404,13 +411,14 @@ func clampRetrySecs(secs int64) string {
 
 // retryAfter derives the 429 Retry-After hint from the mean observed
 // request latency of the grammar times the backlog it would have to
-// drain (its running plus waiting requests per worker), clamped to
+// drain (its running plus waiting requests per context the scheduler
+// currently runs it on — bank loss narrows that width), clamped to
 // [1, maxRetryAfterSecs].
 func (s *Server) retryAfter(g *grammarEntry) string {
 	secs := int64(1)
 	if n := g.m.requestNS.Count(); n > 0 {
 		meanNS := g.m.requestNS.Sum() / float64(n)
-		backlog := float64(s.sched.held(g.flow)) / float64(g.workers)
+		backlog := float64(s.sched.held(g.flow)) / float64(g.effectiveWorkers())
 		if est := int64(meanNS * backlog / 1e9); est > secs {
 			secs = est
 		}

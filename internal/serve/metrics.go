@@ -79,10 +79,6 @@ type serviceMetrics struct {
 	journalReplay   *telemetry.Gauge
 	journalCommitNS *telemetry.Histogram
 
-	// Fast-path dispatch series (engine.go). Registered unconditionally,
-	// so dashboards see the same series under either -engine.
-	engine engineMetrics
-
 	// Upload-admission verdicts (admin.go): admissions by format,
 	// rejections by the check that fired. Pre-registered over the full
 	// check/format vocabulary so a zero-rejection deployment still
@@ -93,26 +89,6 @@ type serviceMetrics struct {
 	// errByCode counts non-2xx answers with no routed grammar (404
 	// unknown grammar, 503 drain denial); see countError.
 	errByCode map[int]*telemetry.Counter
-}
-
-// engineMetrics are the fast-path dispatch series: the
-// simulator-fallback tallies by reason.
-type engineMetrics struct {
-	fbConfig  *telemetry.Counter // -engine=sim pinned the request to the simulator
-	fbChaos   *telemetry.Counter // guarded parse: detection needs execution hooks
-	fbCompile *telemetry.Counter // machine could not be lowered to engine tables
-}
-
-func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
-	fb := func(reason string) *telemetry.Counter {
-		return reg.Counter(telemetry.LabeledName("engine_fallback_total", "reason", reason),
-			"requests served by the simulator instead of the fast-path engine, by reason")
-	}
-	return engineMetrics{
-		fbConfig:  fb("config"),
-		fbChaos:   fb("chaos"),
-		fbCompile: fb("compile"),
-	}
 }
 
 func newServiceMetrics(reg *telemetry.Registry) serviceMetrics {
@@ -136,8 +112,6 @@ func newServiceMetrics(reg *telemetry.Registry) serviceMetrics {
 		ckptCorrupt:     reg.Counter("checkpoint_store_corrupt_total", "stored session checkpoints refused by their integrity seals"),
 		journalReplay:   reg.Gauge("journal_replay_records", "journal records replayed at the last startup"),
 		journalCommitNS: reg.Histogram("serve_journal_commit_ns", "write-ahead journal append+fsync latency (ns)", phaseNSBuckets),
-
-		engine: newEngineMetrics(reg),
 
 		admitAdmitted: admitCounters(reg, "admit_admitted_total", "format",
 			admit.Formats(), "tenant uploads admitted to the registry, by source format"),

@@ -416,20 +416,16 @@ func (q *wfq) held(f *wfqFlow) int {
 
 // costOf is the machine cost heuristic the weights and brownout ranks
 // rest on: the admission-proven stack bound (a provisioned stand-in
-// for built-ins) times the lowered table footprint in KB (occupancy
-// when the machine runs the simulator). It is a relative expense
-// proxy, not a cycle count — Glück's linear-time result makes actual
-// per-request cost ≈ machine cost × input bytes, and the ns/byte EWMA
-// measures the proportionality constant live.
+// for built-ins) times the lowered table footprint in KB. It is a
+// relative expense proxy, not a cycle count — Glück's linear-time
+// result makes actual per-request cost ≈ machine cost × input bytes,
+// and the ns/byte EWMA measures the proportionality constant live.
 func costOf(g *grammarEntry) int64 {
 	sb := g.lang.StackBound
 	if sb <= 0 {
 		sb = defaultStackBound
 	}
-	tableKB := g.cap.OccupancyKB
-	if g.prog != nil {
-		tableKB = g.prog.TableBytes() >> 10
-	}
+	tableKB := g.prog.TableBytes() >> 10
 	if tableKB < 1 {
 		tableKB = 1
 	}

@@ -26,13 +26,31 @@ func (g *grammarEntry) parse(ctx context.Context, body io.Reader, sp *span) (out
 	p := g.parsers.Get().(*stream.Parser)
 	p.Reset()
 	defer g.parsers.Put(p)
+	if inputErr, sysErr = pump(ctx, p, body, sp); sysErr != nil {
+		return stream.Outcome{}, nil, sysErr
+	}
+	t0 := sp.now()
+	out, err := p.Close()
+	sp.addSince(phaseParse, t0)
+	if inputErr == nil {
+		inputErr = err
+	}
+	return out, inputErr, nil
+}
+
+// pump is the read loop of every unguarded parse, whole-document or
+// durable-session chunk: it writes each read of body into p until EOF,
+// the first document error (inputErr), or a context or transport
+// failure (sysErr). It never closes p — the caller concludes the parse
+// or, for a session chunk, checkpoints it. sp takes the read and parse
+// phase time as in parse.
+func pump(ctx context.Context, p *stream.Parser, body io.Reader, sp *span) (inputErr, sysErr error) {
 	bufp := copyBufs.Get().(*[]byte)
 	defer copyBufs.Put(bufp)
 	buf := *bufp
-
 	for {
 		if err := ctx.Err(); err != nil {
-			return stream.Outcome{}, nil, err
+			return nil, err
 		}
 		t0 := sp.now()
 		n, rerr := body.Read(buf)
@@ -42,19 +60,14 @@ func (g *grammarEntry) parse(ctx context.Context, body io.Reader, sp *span) (out
 			_, werr := p.Write(buf[:n])
 			sp.addSince(phaseParse, t0)
 			if werr != nil {
-				out, _ := p.Close()
-				return out, werr, nil
+				return werr, nil
 			}
 		}
 		if rerr == io.EOF {
-			break
+			return nil, nil
 		}
 		if rerr != nil {
-			return stream.Outcome{}, nil, rerr
+			return nil, rerr
 		}
 	}
-	t0 := sp.now()
-	out, err := p.Close()
-	sp.addSince(phaseParse, t0)
-	return out, err, nil
 }

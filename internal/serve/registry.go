@@ -36,17 +36,10 @@ type grammarEntry struct {
 	// constructs one against the already-compiled machine.
 	parsers sync.Pool
 
-	// Fast-path engine (engine.go). prog is the lowered program the
-	// parser pool runs on (nil = the pool runs the simulator), em the
-	// shared dispatch series. fallback, when non-nil, is the reason
-	// counter bumped per unguarded request the pool serves on the
-	// simulator ("config" or "compile"); wantEngine records that the
-	// operator asked for the fast path (so guarded parses count reason
-	// "chaos").
-	prog       *engine.Program
-	em         *engineMetrics
-	fallback   *telemetry.Counter
-	wantEngine bool
+	// prog is the lowered engine program every pooled parser runs on,
+	// each on its own engine.Exec (DESIGN.md §11 says why serving is
+	// single-lane). Guarded parses run the simulator instead (chaos.go).
+	prog *engine.Program
 
 	// Lifecycle. Entries are immutable once published in a tenant
 	// snapshot; a reload/swap builds a replacement off to the side and
@@ -182,6 +175,10 @@ func newGrammarEntry(s *Server, l *lang.Language, fabricShare int) (*grammarEntr
 	if err != nil {
 		return nil, err
 	}
+	prog, err := cm.Engine()
+	if err != nil {
+		return nil, err
+	}
 	s.m.compiles.Inc()
 	// Warm the lexer cache now: lang.Language builds it lazily without
 	// locking, so it must be constructed before concurrent requests.
@@ -210,29 +207,15 @@ func newGrammarEntry(s *Server, l *lang.Language, fabricShare int) (*grammarEntr
 		lang:      l,
 		cm:        cm,
 		cap:       cap,
+		prog:      prog,
 		replicas:  replicas,
 		unitBanks: unitBanks,
 		workers:   workers,
 		m:         newGrammarMetrics(s.reg, l.Name),
 	}
-	// Fast-path lowering happens here, at load time like every other
-	// compile: the request path never lowers. A machine the engine
-	// cannot represent serves on the simulator instead of failing the
-	// load — the fallback is counted, never silent.
-	g.em = &s.m.engine
-	g.wantEngine = s.opts.Engine != EngineSim
-	if !g.wantEngine {
-		g.fallback = g.em.fbConfig
-	} else if prog, perr := cm.Engine(); perr != nil {
-		g.fallback = g.em.fbCompile
-	} else {
-		g.prog = prog
-	}
-	// Overload plumbing: the cost heuristic needs the lowered table
-	// footprint, so it is computed after the engine decision above. The
-	// default weight IS the cost — every tenant then charges ~1 virtual
-	// unit per request (equal request-rate shares) until an operator
-	// re-weights it.
+	// Overload plumbing: the default weight IS the cost — every tenant
+	// then charges ~1 virtual unit per request (equal request-rate
+	// shares) until an operator re-weights it.
 	g.cost = costOf(g)
 	w := g.cost
 	if ov, ok := s.weights[l.Name]; ok {
@@ -241,13 +224,7 @@ func newGrammarEntry(s *Server, l *lang.Language, fabricShare int) (*grammarEntr
 	g.weight.Store(w)
 	g.flow = newFlow(g, workers, workers+s.opts.QueueDepth)
 	g.parsers.New = func() any {
-		var p *stream.Parser
-		var err error
-		if g.prog != nil {
-			p, err = stream.NewParserBackend(g.lang, g.cm, engine.NewExec(g.prog, engine.Options{}))
-		} else {
-			p, err = stream.NewParser(g.lang, g.cm, core.ExecOptions{})
-		}
+		p, err := stream.NewParserBackend(g.lang, g.cm, engine.NewExec(g.prog, engine.Options{}))
 		if err != nil {
 			// Unreachable: parser construction can only fail building the
 			// lexer, which was constructed and cached at load time.
@@ -290,11 +267,9 @@ type GrammarInfo struct {
 	// Workers — replicas eat fabric capacity).
 	VerifyMode string `json:"verifyMode"`
 	Replicas   int    `json:"replicas"`
-	// Execution backend: "fast" when pooled parses run the lowered
-	// engine tables (EngineTableKB is their footprint), "sim" when
-	// they run the cycle-accurate simulator.
-	Engine        string `json:"engine"`
-	EngineTableKB int    `json:"engineTableKB,omitempty"`
+	// EngineTableKB is the footprint of the lowered engine tables every
+	// unguarded parse runs on.
+	EngineTableKB int `json:"engineTableKB"`
 	// Provenance of tenant-uploaded machines: the upload format and the
 	// admission-proven stack depth bound (⊥ excluded). Both empty/zero
 	// for built-in grammars, whose depth is provisioned, not proven.
@@ -307,14 +282,8 @@ type GrammarInfo struct {
 }
 
 func (g *grammarEntry) info(queueDepth int) GrammarInfo {
-	eng, tableKB := EngineSim, 0
-	if g.prog != nil {
-		eng = EngineFast
-		tableKB = g.prog.TableBytes() >> 10
-	}
 	return GrammarInfo{
-		Engine:           eng,
-		EngineTableKB:    tableKB,
+		EngineTableKB:    g.prog.TableBytes() >> 10,
 		Format:           g.lang.Format,
 		StackBound:       g.lang.StackBound,
 		Name:             g.name,

@@ -59,3 +59,24 @@ func TestRetryAfterBounds(t *testing.T) {
 	}
 	s.sched.release(g.flow)
 }
+
+// TestRetryAfterTracksBankLoss pins the hint to the width the scheduler
+// drains a tenant's backlog at: after bank loss narrows a 4-worker
+// tenant to one context, one held request at a 10 s mean latency means
+// 10 s, not the 2 s its provisioned width would suggest.
+func TestRetryAfterTracksBankLoss(t *testing.T) {
+	s, err := New(Options{Languages: []*lang.Language{lang.JSON()}, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := s.grammar("JSON")
+	s.sched.shrink(g.flow, 1)
+	g.m.requestNS.ObserveInt((10 * time.Second).Nanoseconds())
+	if err := s.sched.acquire(context.Background(), g.flow); err != nil {
+		t.Fatal(err)
+	}
+	defer s.sched.release(g.flow)
+	if got := s.retryAfter(g); got != "10" {
+		t.Errorf("Retry-After at width 1 of 4 = %q, want %q", got, "10")
+	}
+}

@@ -100,15 +100,6 @@ type Options struct {
 	// TraceSample emits every Nth request to Trace (0 with Trace set =
 	// every request).
 	TraceSample int
-	// Engine selects the request-path execution backend: EngineFast
-	// (the default; "" normalizes to it) runs each pooled parse on its
-	// own engine.Exec over internal/engine's lowered tables, EngineSim
-	// pins everything to the cycle-accurate simulator.
-	// Guarded parses (Chaos with a verify mode) always run the
-	// simulator — detection needs execution hooks — and every
-	// simulator-served request is counted on
-	// engine_fallback_total{reason}.
-	Engine string
 	// Chaos, when non-nil, arms fault injection and the
 	// checkpoint/replay recovery layer (see ChaosOptions). nil keeps
 	// the unguarded request path; bank kills still narrow the tenants.
@@ -258,11 +249,6 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxBodyBytes == 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	eng, err := ParseEngine(opts.Engine)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	opts.Engine = eng
 	known := make(map[string]*lang.Language, len(langs))
 	for _, l := range langs {
 		known[l.Name] = l

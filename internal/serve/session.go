@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"aspen/internal/core"
 	"aspen/internal/store"
 	"aspen/internal/stream"
 )
@@ -126,38 +125,13 @@ func (s *Server) serveSession(w http.ResponseWriter, ctx context.Context, g *gra
 		return
 	}
 
-	bufp := copyBufs.Get().(*[]byte)
-	defer copyBufs.Put(bufp)
-	buf := *bufp
-	var inputErr error
-pump:
-	for {
-		if err := ctx.Err(); err != nil {
-			s.writeSysErr(w, sp, g, err)
-			return
-		}
-		t0 = sp.now()
-		n, rerr := body.Read(buf)
-		sp.addSince(phaseRead, t0)
-		if n > 0 {
-			t0 = sp.now()
-			_, werr := p.Write(buf[:n])
-			sp.addSince(phaseParse, t0)
-			if werr != nil {
-				inputErr = werr
-				break pump
-			}
-		}
-		if rerr == io.EOF {
-			break pump
-		}
-		if rerr != nil {
-			// Transport failure mid-chunk: the stored checkpoint is
-			// untouched, so the client resumes from the last acknowledged
-			// offset.
-			s.writeSysErr(w, sp, g, rerr)
-			return
-		}
+	inputErr, sysErr := pump(ctx, p, body, sp)
+	if sysErr != nil {
+		// Transport failure or deadline mid-chunk: the stored checkpoint
+		// is untouched, so the client resumes from the last acknowledged
+		// offset.
+		s.writeSysErr(w, sp, g, sysErr)
+		return
 	}
 
 	if inputErr == nil && !final {
@@ -204,45 +178,5 @@ pump:
 	t0 = sp.now()
 	_ = s.st.Checkpoints.Delete(key)
 	sp.addSince(phasePersist, t0)
-	if errors.Is(inputErr, core.ErrStackOverflow) {
-		g.m.rejectedDepth.Inc()
-		s.writeErr(w, sp, g, http.StatusUnprocessableEntity, outcomeDepth,
-			"input exceeds the provisioned stack depth for grammar "+g.name+": "+inputErr.Error())
-		return
-	}
-	resp := ParseResponse{
-		Grammar:       g.name,
-		Session:       id,
-		Accepted:      out.Accepted,
-		Bytes:         out.Bytes,
-		Tokens:        out.Tokens,
-		Cycles:        out.Result.Consumed + out.Result.EpsilonStalls,
-		EpsilonStalls: out.Result.EpsilonStalls,
-		LexScanCycles: out.LexStats.ScanCycles,
-		MaxStackDepth: out.Result.MaxStackDepth,
-		Reports:       out.Result.ReportCount,
-		QueueNS:       queueNS,
-		ParseNS:       time.Since(start).Nanoseconds() - queueNS,
-	}
-	switch {
-	case inputErr != nil:
-		resp.Error = inputErr.Error()
-		sp.outcome = outcomeInputErr
-		g.m.errors.Inc()
-	case out.Accepted:
-		g.m.accepted.Inc()
-	default:
-		sp.outcome = outcomeRejected
-		g.m.rejected.Inc()
-	}
-	sp.bytes = int64(out.Bytes)
-	g.m.bytes.Add(int64(out.Bytes))
-	g.m.tokens.Add(int64(out.Tokens))
-	total := time.Since(start).Nanoseconds()
-	s.m.requestNS.ObserveInt(total)
-	g.m.requestNS.ObserveInt(total)
-	s.sampleTrace(g, &resp, total)
-	t0 = sp.now()
-	writeJSON(w, http.StatusOK, resp)
-	sp.addSince(phaseRespond, t0)
+	s.respond(w, sp, g, id, out, inputErr, start, queueNS)
 }

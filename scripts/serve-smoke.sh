@@ -92,16 +92,16 @@ echo "$metrics" | grep -q '^serve_requests_total 1$' ||
     fail "/metrics missing serve_requests_total 1"
 echo "$metrics" | grep -q 'serve_phase_ns_bucket{grammar="JSON",phase="parse",le="' ||
     fail "/metrics missing per-phase latency histograms"
-# Fast-path engine dispatch: JSON runs on the lowered engine (the
-# default backend), and the per-reason fallback counters are registered
-# whichever backend serves.
+# Every unguarded parse runs on the lowered engine: JSON reports its
+# table footprint, and no simulator-fallback series is exported.
 grammars=$(get "http://$addr/v1/grammars") || fail "/v1/grammars unreachable"
-json_engine=$(echo "$grammars" |
-    awk '/"name": "JSON"/ { g = 1 } g && /"engine":/ { print; exit }')
-echo "$json_engine" | grep -q '"engine": "fast"' ||
-    fail "/v1/grammars does not report engine fast for JSON: $json_engine"
-echo "$metrics" | grep -q '^engine_fallback_total{reason="config"} ' ||
-    fail "/metrics missing engine_fallback_total{reason=...}"
+json_table=$(echo "$grammars" |
+    awk '/"name": "JSON"/ { g = 1 } g && /"engineTableKB":/ { print; exit }')
+echo "$json_table" | grep -q '"engineTableKB": [1-9]' ||
+    fail "/v1/grammars does not report a JSON engine table size: $json_table"
+if echo "$metrics" | grep -q '^engine_'; then
+    fail "/metrics still exports an engine_* series"
+fi
 # Overload-control surfaces: sheds by reason, the AIMD concurrency
 # gauge, and the per-tenant weighted-fair backlog gauge.
 echo "$metrics" | grep -q '^shed_total{reason="queue"} ' ||
