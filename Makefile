@@ -47,8 +47,9 @@ overload-smoke:
 # equivalence (chunk-boundary lexing, chunked-vs-whole parsing), the
 # merged-DFA scan against its NFA reference, the
 # software-parser differential, the XML pipeline, checkpoint
-# serialize/restore round-tripping, and the registry journal record
-# codec. Checked-in seed corpora run on plain `go test`; this explores
+# serialize/restore round-tripping, the registry journal record
+# codec, and the LR table construction against its canonical-then-merge
+# reference. Checked-in seed corpora run on plain `go test`; this explores
 # beyond them. Bump FUZZTIME for a real session. Go allows one -fuzz
 # pattern per invocation, hence one line per target.
 FUZZTIME ?= 5s
@@ -62,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJournalRecord -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzEngineDifferential -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzAdmitUpload -fuzztime $(FUZZTIME) ./internal/admit
+	$(GO) test -run '^$$' -fuzz FuzzLALRMatchesReference -fuzztime $(FUZZTIME) ./internal/lr
 
 # The served-path benchmark (perfbench/) is its own Go module, so
 # `go build ./...` and the race run above never compile it; vet and

@@ -305,6 +305,17 @@ B : A ;
 S : A S | A ;
 %lex A a
 `
+	// The same reduce/reduce conflict under two names: the rejection
+	// must not depend on what the upload is called.
+	dupGrammar := `
+%token a
+%start S
+S : a | a ;
+%lex a a
+`
+	// One production of 300 terminals: an LALR automaton past the 256
+	// states an 8-bit stack symbol can name.
+	longGrammar := "%token a\n%start S\nS :" + strings.Repeat(" a", 300) + " ;\n%lex a a\n"
 	underflowMNRL := `{
   "version": "aspen-mnrl-1.0",
   "id": "underflow",
@@ -324,6 +335,9 @@ S : A S | A ;
 		{"torn-truncated-pda", FormatPDA, truncatedPDA, CheckParse},
 		{"nondeterministic-grammar", FormatGrammar, nondetGrammar, CheckDeterminism},
 		{"unbounded-depth-grammar", FormatGrammar, unboundedGrammar, CheckDepth},
+		{"ambig", FormatGrammar, dupGrammar, CheckDeterminism},
+		{"states256", FormatGrammar, dupGrammar, CheckDeterminism},
+		{"too-many-lr-states", FormatGrammar, longGrammar, CheckLimits},
 		{"underflow-mnrl", FormatMNRL, underflowMNRL, CheckUnderflow},
 		{"garbage-mnrl", FormatMNRL, `{"nodes": [{"type":`, CheckParse},
 		{"oversize", FormatPDA, strings.Repeat("# padding\n", 40000), CheckLimits},

@@ -1,6 +1,7 @@
 package admit
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -110,7 +111,8 @@ func admitGrammar(name string, source []byte, lim Limits) (*lang.Language, *comp
 		// (shift/reduce, reduce/reduce) or table overflow; classify the
 		// conflict as a determinism finding, size as limits.
 		check := CheckDeterminism
-		if strings.Contains(err.Error(), "states") && strings.Contains(err.Error(), "256") {
+		var size *compile.StateLimitError
+		if errors.As(err, &size) {
 			check = CheckLimits
 		}
 		return nil, nil, reject(name, FormatGrammar, Diagnostic{

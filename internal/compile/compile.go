@@ -92,7 +92,7 @@ func FromTable(tbl *lr.Table, opts Options, startedAt time.Time) (*Compiled, err
 		return nil, err
 	}
 	if tbl.NumStates() > 256 {
-		return nil, fmt.Errorf("compile: parsing automaton for %q has %d states; the 8-bit stack symbol encoding allows 256", g.Name, tbl.NumStates())
+		return nil, &StateLimitError{Grammar: g.Name, States: tbl.NumStates()}
 	}
 
 	c := &constructor{g: g, tbl: tbl, tm: tm,
@@ -127,6 +127,17 @@ func FromTable(tbl *lr.Table, opts Options, startedAt time.Time) (*Compiled, err
 		return nil, fmt.Errorf("compile: generated machine invalid: %w", err)
 	}
 	return &Compiled{Grammar: g, Table: tbl, Tokens: tm, Machine: m, Stats: stats}, nil
+}
+
+// StateLimitError reports a parsing automaton with more states than
+// the 8-bit stack symbol encoding can name.
+type StateLimitError struct {
+	Grammar string
+	States  int
+}
+
+func (e *StateLimitError) Error() string {
+	return fmt.Sprintf("compile: parsing automaton for %q has %d states; the 8-bit stack symbol encoding allows 256", e.Grammar, e.States)
 }
 
 // encState maps parsing-automaton state s to its stack symbol. State 0 is

@@ -50,3 +50,29 @@ func TestCompileDeterministic(t *testing.T) {
 		})
 	}
 }
+
+// TestBuiltinFingerprints pins the built-in machines' fingerprints.
+// Durable checkpoints and fleet handoffs carry the fingerprint of the
+// machine that took them and are refused by any other, so a change to
+// any compile stage — the LR construction included — that renumbers
+// states orphans every checkpoint a running fleet holds. Comparing two
+// compiles from one build, as TestCompileDeterministic does, cannot see
+// that.
+func TestBuiltinFingerprints(t *testing.T) {
+	want := map[string]uint64{
+		"Cool":  0xcdbd2f25addd1e31,
+		"DOT":   0x41bf3477a63a598d,
+		"JSON":  0x09def3133b8878a1,
+		"XML":   0xd195550606e49822,
+		"MiniC": 0xf6f6328e327adb68,
+	}
+	for _, l := range append(lang.All(), lang.MiniC()) {
+		cm, err := l.Compile(compile.OptAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cm.Machine.Fingerprint(); got != want[l.Name] {
+			t.Errorf("%s: fingerprint %016x, want %016x", l.Name, got, want[l.Name])
+		}
+	}
+}

@@ -2,7 +2,7 @@ package grammar
 
 // Sets holds the classic grammar analyses: nullability and FIRST sets for
 // every symbol, plus FOLLOW sets for nonterminals. The LR(1) generator
-// uses FIRST over sentential forms to compute item lookaheads.
+// derives item lookaheads from FIRST and nullability.
 type Sets struct {
 	g        *Grammar
 	Nullable []bool
@@ -117,19 +117,4 @@ func Analyze(g *Grammar) *Sets {
 		}
 	}
 	return s
-}
-
-// FirstOfSeq computes FIRST of a sentential form followed by a lookahead
-// terminal: FIRST(seq · la). It is the lookahead computation at the heart
-// of canonical LR(1) closure.
-func (s *Sets) FirstOfSeq(seq []Sym, la Sym) SymSet {
-	out := SymSet{}
-	for _, r := range seq {
-		out.AddAll(s.First[r])
-		if !s.Nullable[r] {
-			return out
-		}
-	}
-	out.Add(la)
-	return out
 }

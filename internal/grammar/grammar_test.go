@@ -173,36 +173,6 @@ B : b ;
 	}
 }
 
-func TestFirstOfSeq(t *testing.T) {
-	g, _ := Parse(`
-%token a b
-S : A B ;
-A : a | ;
-B : b ;
-`)
-	sets := Analyze(g)
-	A := g.Lookup("A")
-	B := g.Lookup("B")
-	ta := g.Lookup("a")
-	tb := g.Lookup("b")
-
-	// FIRST(A B · ⊣) = {a, b} (A nullable, B not).
-	fs := sets.FirstOfSeq([]Sym{A, B}, EndMarker)
-	if !fs.Has(ta) || !fs.Has(tb) || fs.Has(EndMarker) {
-		t.Errorf("FirstOfSeq(AB,⊣) = %v", fs.Sorted())
-	}
-	// FIRST(A · ⊣) = {a, ⊣}.
-	fs = sets.FirstOfSeq([]Sym{A}, EndMarker)
-	if !fs.Has(ta) || !fs.Has(EndMarker) {
-		t.Errorf("FirstOfSeq(A,⊣) = %v", fs.Sorted())
-	}
-	// FIRST(ε · x) = {x}.
-	fs = sets.FirstOfSeq(nil, tb)
-	if len(fs) != 1 || !fs.Has(tb) {
-		t.Errorf("FirstOfSeq(ε,b) = %v", fs.Sorted())
-	}
-}
-
 func TestSymSetSorted(t *testing.T) {
 	ss := SymSet{}
 	for _, s := range []Sym{5, 1, 3, 2, 4} {

@@ -2,7 +2,6 @@ package lr
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"aspen/internal/grammar"
@@ -45,8 +44,9 @@ type Action struct {
 type Mode int
 
 const (
-	// LALR merges canonical LR(1) states with equal LR(0) cores —
-	// Bison's default table class.
+	// LALR is the LR(0) automaton with LR(1) lookaheads propagated
+	// over it — the canonical LR(1) automaton with states of equal LR(0)
+	// core merged, in fewer steps. Bison's default table class.
 	LALR Mode = iota
 	// CanonicalLR keeps the full canonical LR(1) automaton.
 	CanonicalLR
@@ -87,8 +87,10 @@ type Table struct {
 	// Resolved lists shift/reduce conflicts resolved in favor of shift
 	// (empty unless Options.ResolveShiftReduce).
 	Resolved []Conflict
-	// kernels holds item-set descriptions for Describe.
-	kernels []itemSet
+	// items holds each state's closed item set, and coreIndex its
+	// cores' productions and dots, for Describe.
+	items []itemSet
+	coreIndex
 }
 
 // NumStates returns the number of parsing-automaton states (paper
@@ -121,83 +123,24 @@ func Build(g *grammar.Grammar, opts Options) (*Table, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	b := &builder{g: g, sets: grammar.Analyze(g)}
-
-	// Canonical LR(1) state machine over closed item sets.
-	start := b.closure(itemSet{{prod: augmentedProd, dot: 0, la: grammar.EndMarker}})
-	states := []itemSet{start}
-	index := map[string]int{start.key(): 0}
-	type edge struct {
-		from int
-		sym  grammar.Sym
-		to   int
-	}
-	var edges []edge
-	for si := 0; si < len(states); si++ {
-		set := states[si]
-		// Collect the symbols that can be advanced over, in order.
-		symSeen := map[grammar.Sym]bool{}
-		var syms []grammar.Sym
-		for _, it := range set {
-			r := b.rhs(it.prod)
-			if int(it.dot) < len(r) && !symSeen[r[it.dot]] {
-				symSeen[r[it.dot]] = true
-				syms = append(syms, r[it.dot])
-			}
-		}
-		sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
-		for _, x := range syms {
-			kernel := b.advance(set, x)
-			next := b.closure(kernel)
-			k := next.key()
-			ti, ok := index[k]
-			if !ok {
-				ti = len(states)
-				index[k] = ti
-				states = append(states, next)
-			}
-			edges = append(edges, edge{si, x, ti})
-		}
-	}
-
-	// LALR: merge states with identical LR(0) cores.
-	remap := make([]int, len(states))
-	merged := states
+	b := newBuilder(g)
+	states := b.automaton(opts.Mode == CanonicalLR)
 	if opts.Mode == LALR {
-		coreIndex := map[string]int{}
-		merged = nil
-		for i, set := range states {
-			ck := set.coreKey()
-			mi, ok := coreIndex[ck]
-			if !ok {
-				mi = len(merged)
-				coreIndex[ck] = mi
-				merged = append(merged, nil)
-			}
-			remap[i] = mi
-			// Union items (lookaheads) into the merged set.
-			merged[mi] = append(merged[mi], set...)
-		}
-		for i := range merged {
-			merged[i].sortInPlace()
-			merged[i] = dedupe(merged[i])
-		}
-	} else {
-		for i := range remap {
-			remap[i] = i
-		}
+		b.propagate(states)
 	}
 
 	t := &Table{
-		G:       g,
-		Mode:    opts.Mode,
-		Actions: make([]map[grammar.Sym]Action, len(merged)),
-		Gotos:   make([]map[grammar.Sym]int, len(merged)),
-		kernels: merged,
+		G:         g,
+		Mode:      opts.Mode,
+		Actions:   make([]map[grammar.Sym]Action, len(states)),
+		Gotos:     make([]map[grammar.Sym]int, len(states)),
+		items:     make([]itemSet, len(states)),
+		coreIndex: b.coreIndex,
 	}
-	for i := range merged {
+	for i, st := range states {
 		t.Actions[i] = map[grammar.Sym]Action{}
 		t.Gotos[i] = map[grammar.Sym]int{}
+		t.items[i] = st.items
 	}
 
 	var conflicts []Conflict
@@ -222,33 +165,29 @@ func Build(g *grammar.Grammar, opts Options) (*Table, error) {
 		conflicts = append(conflicts, Conflict{s, term, old, a})
 	}
 
-	// Shift and goto entries from edges (deduplicated after merging).
-	for _, e := range edges {
-		from, to := remap[e.from], remap[e.to]
-		if g.IsTerminal(e.sym) {
-			setAction(from, e.sym, Action{Kind: ActionShift, Target: to})
-		} else {
-			if prev, ok := t.Gotos[from][e.sym]; ok && prev != to {
-				// Cannot happen for same-core merges; defensive.
-				conflicts = append(conflicts, Conflict{from, e.sym,
-					Action{ActionShift, prev}, Action{ActionShift, to}})
-				continue
+	// Shift and goto entries from edges.
+	for s, st := range states {
+		for _, e := range st.edges {
+			if g.IsTerminal(e.sym) {
+				setAction(s, e.sym, Action{Kind: ActionShift, Target: e.to})
+			} else {
+				t.Gotos[s][e.sym] = e.to
 			}
-			t.Gotos[from][e.sym] = to
 		}
 	}
 	// Reduce and accept entries from completed items.
-	for si, set := range merged {
-		for _, it := range set {
-			r := b.rhs(it.prod)
-			if int(it.dot) != len(r) {
+	for s, st := range states {
+		for i, c := range st.items.cores {
+			if b.next[c] != grammar.NoSym {
 				continue
 			}
-			if it.prod == augmentedProd {
-				setAction(si, grammar.EndMarker, Action{Kind: ActionAccept})
-				continue
+			for _, la := range st.items.lookaheads(i) {
+				if b.prod[c] == augmentedProd {
+					setAction(s, grammar.EndMarker, Action{Kind: ActionAccept})
+					continue
+				}
+				setAction(s, la, Action{Kind: ActionReduce, Target: int(b.prod[c])})
 			}
-			setAction(si, it.la, Action{Kind: ActionReduce, Target: int(it.prod)})
 		}
 	}
 	if len(conflicts) > 0 {
@@ -257,42 +196,36 @@ func Build(g *grammar.Grammar, opts Options) (*Table, error) {
 	return t, nil
 }
 
-func dedupe(s itemSet) itemSet {
-	out := s[:0]
-	for i, it := range s {
-		if i == 0 || it != s[i-1] {
-			out = append(out, it)
-		}
-	}
-	return out
-}
-
 // Describe renders state s for diagnostics: its items and actions.
 func (t *Table) Describe(s int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "state %d\n", s)
-	for _, it := range t.kernels[s] {
+	set := &t.items[s]
+	for i, c := range set.cores {
 		var lhs string
 		var rhs []grammar.Sym
-		if it.prod == augmentedProd {
+		if t.prod[c] == augmentedProd {
 			lhs = "S'"
 			rhs = []grammar.Sym{t.G.Start}
 		} else {
-			p := &t.G.Productions[it.prod]
+			p := &t.G.Productions[t.prod[c]]
 			lhs = t.G.SymName(p.Lhs)
 			rhs = p.Rhs
 		}
-		fmt.Fprintf(&b, "  %s →", lhs)
+		var item strings.Builder
+		fmt.Fprintf(&item, "  %s →", lhs)
 		for i, r := range rhs {
-			if int(it.dot) == i {
-				b.WriteString(" ·")
+			if int(t.dot[c]) == i {
+				item.WriteString(" ·")
 			}
-			b.WriteString(" " + t.G.SymName(r))
+			item.WriteString(" " + t.G.SymName(r))
 		}
-		if int(it.dot) == len(rhs) {
-			b.WriteString(" ·")
+		if int(t.dot[c]) == len(rhs) {
+			item.WriteString(" ·")
 		}
-		fmt.Fprintf(&b, " , %s\n", t.G.SymName(it.la))
+		for _, la := range set.lookaheads(i) {
+			fmt.Fprintf(&b, "%s , %s\n", item.String(), t.G.SymName(la))
+		}
 	}
 	return b.String()
 }

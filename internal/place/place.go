@@ -194,6 +194,11 @@ func refine(m *core.HDPDA, p *Placement, load []int, opts Options) {
 			}
 		}
 	}
+	// counts tallies one state's neighbors per bank; banks lists the
+	// tallied banks in first-seen order, which fixes the tie-break in the
+	// scan below, and resets counts for the next state.
+	counts := make([]int, p.NumBanks)
+	var banks []int
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
 		for s := 0; s < n; s++ {
@@ -201,11 +206,7 @@ func refine(m *core.HDPDA, p *Placement, load []int, opts Options) {
 				continue // keep the start anchored in its first live bank
 			}
 			cur := p.BankOf[s]
-			// Tally neighbor banks, keeping first-seen order so the scan
-			// below — and therefore the whole placement — is deterministic
-			// (map iteration order would reshuffle tie-breaks run to run).
-			counts := map[int]int{}
-			var banks []int
+			banks = banks[:0]
 			for _, t := range adj[s] {
 				b := p.BankOf[t]
 				if counts[b] == 0 {
@@ -222,6 +223,9 @@ func refine(m *core.HDPDA, p *Placement, load []int, opts Options) {
 				if gain > bestGain {
 					best, bestGain = b, gain
 				}
+			}
+			for _, b := range banks {
+				counts[b] = 0
 			}
 			if best != cur {
 				load[cur]--

@@ -1,6 +1,8 @@
 package place
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"aspen/internal/compile"
@@ -176,5 +178,53 @@ func TestPartitionNoDeadBanksUnchanged(t *testing.T) {
 		if base.BankOf[s] != masked.BankOf[s] {
 			t.Fatalf("state %d moved: %d vs %d", s, base.BankOf[s], masked.BankOf[s])
 		}
+	}
+}
+
+// TestBuiltinPlacementsPinned pins the built-in machines' placements
+// at two bank sizes. Placement is deterministic by construction (see
+// refine's tie-break), so a faster Partition must reproduce it exactly.
+func TestBuiltinPlacementsPinned(t *testing.T) {
+	want := map[string][2]uint64{ // BankStates 256, 64
+		"Cool":  {0x654b9896aee4b775, 0x6eaafb263ae18cab},
+		"DOT":   {0xa39b86b2035f75e5, 0x552c779a0f9275e1},
+		"JSON":  {0x04205f5f157646e5, 0x2c400377866b6a4c},
+		"XML":   {0x0304306530441559, 0xf466ab2a78485072},
+		"MiniC": {0x363288b66edf33d5, 0xfb54ecf562826abe},
+	}
+	for _, l := range append(lang.All(), lang.MiniC()) {
+		cm, err := l.Compile(compile.OptAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, bs := range []int{256, 64} {
+			p, err := Partition(cm.Machine, Options{BankStates: bs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			for _, b := range p.BankOf {
+				fmt.Fprintf(h, "%d,", b)
+			}
+			if got := h.Sum64(); got != want[l.Name][i] {
+				t.Errorf("%s at %d states per bank: BankOf digest %016x, want %016x", l.Name, bs, got, want[l.Name][i])
+			}
+		}
+	}
+}
+
+func BenchmarkPartition(b *testing.B) {
+	for _, l := range []*lang.Language{lang.Cool(), lang.MiniC()} {
+		cm, err := l.Compile(compile.OptAll)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(l.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Partition(cm.Machine, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
