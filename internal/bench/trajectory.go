@@ -144,18 +144,21 @@ const (
 	higherIsBetter = 1
 )
 
-var lowerBetterMarks = []string{"ns", "us", "ms", "alloc", "joule", "latency", "cycles", "stall"}
+// Marks match whole "_"-separated segments of a key (a multi-segment
+// mark such as "req_s" matches that run of segments), never bare
+// substrings: "tokens" holds "ns" but counts document size.
+var lowerBetterMarks = []string{"ns", "us", "ms", "alloc", "allocs", "joule", "latency", "cycles", "stall", "stalls", "table_kb"}
 var higherBetterMarks = []string{"req_s", "mb_s", "kb_s", "per_sec", "throughput", "mhz", "ghz", "speedup", "recall"}
 
 func metricDirection(key string) int {
-	k := strings.ToLower(key)
+	k := "_" + strings.ToLower(key) + "_"
 	for _, m := range higherBetterMarks {
-		if strings.Contains(k, m) {
+		if strings.Contains(k, "_"+m+"_") {
 			return higherIsBetter
 		}
 	}
 	for _, m := range lowerBetterMarks {
-		if strings.Contains(k, m) {
+		if strings.Contains(k, "_"+m+"_") {
 			return lowerIsBetter
 		}
 	}

@@ -84,9 +84,63 @@ func TestMetricDirection(t *testing.T) {
 		"clock_mhz":    higherIsBetter,
 		"fabric_banks": neutralMetric,
 		"requests":     neutralMetric,
+		"tokens":       neutralMetric,
+		"productions":  neutralMetric,
+		"table_kb":     lowerIsBetter,
+		"eps_stalls":   lowerIsBetter,
 	} {
 		if got := metricDirection(key); got != want {
 			t.Errorf("metricDirection(%q) = %d, want %d", key, got, want)
+		}
+	}
+}
+
+// TestCommittedMetricDirections pins how bench-compare grades every
+// column of the committed perf-trajectory baselines: a new column must
+// be added here with its intended direction.
+func TestCommittedMetricDirections(t *testing.T) {
+	want := map[string]int{
+		// BENCH_serve.json
+		"allocs_req":   lowerIsBetter,
+		"clients":      neutralMetric,
+		"contexts":     neutralMetric,
+		"fabric_banks": neutralMetric,
+		"mb_s":         higherIsBetter,
+		"ns_kib":       lowerIsBetter,
+		"req_s":        higherIsBetter,
+		"requests":     neutralMetric,
+		"us_req":       lowerIsBetter,
+		// BENCH_engine.json
+		"engine_exec_ns_kib":  lowerIsBetter,
+		"engine_parse_ns_kib": lowerIsBetter,
+		"exec_speedup":        higherIsBetter,
+		"parse_speedup":       higherIsBetter,
+		"sim_exec_ns_kib":     lowerIsBetter,
+		"sim_parse_ns_kib":    lowerIsBetter,
+		"states":              neutralMetric,
+		"table_kb":            lowerIsBetter,
+		"tokens":              neutralMetric,
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed BENCH_*.json baselines found (%v)", err)
+	}
+	for _, f := range files {
+		tr, err := ReadTrajectory(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range tr.Rows {
+			for key := range row.Metrics {
+				dir, ok := want[key]
+				if !ok {
+					t.Errorf("%s row %q: column %q has no pinned direction", filepath.Base(f), row.Name, key)
+					continue
+				}
+				if got := metricDirection(key); got != dir {
+					t.Errorf("%s: metricDirection(%q) = %d, want %d", filepath.Base(f), key, got, dir)
+				}
+			}
 		}
 	}
 }

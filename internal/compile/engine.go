@@ -24,10 +24,10 @@ type engineCache struct {
 
 // Engine returns the fast-path engine.Program lowered from this
 // machine, building it on first use and caching it for the Compiled's
-// lifetime. Lowering re-validates the machine (the dense dispatch
-// tables require the determinism condition); a machine the engine
-// cannot lower reports the same error on every call, and callers fall
-// back to the simulator.
+// lifetime. Lowering re-validates the machine (the dispatch tables
+// require the determinism condition); a machine the engine cannot
+// lower reports the same error on every call, and it cannot be served:
+// serve.New fails on it and admission rejects it as an upload.
 func (c *Compiled) Engine() (*engine.Program, error) {
 	c.eng.once.Do(func() {
 		c.eng.prog, c.eng.err = engine.Compile(c.Machine)

@@ -100,6 +100,26 @@ func (cp *Checkpoint) Seal() { cp.Digest = cp.computeDigest() }
 // Verify reports whether the checkpoint still matches its seal.
 func (cp *Checkpoint) Verify() bool { return cp.Digest == cp.computeDigest() }
 
+// Check reports whether cp can be restored on a machine of numStates
+// states: it must pass its seal, name one of those states and hold at
+// least the bottom stack entry. A snapshot can carry a valid seal yet
+// belong to a different machine (a durable checkpoint restored after a
+// grammar swap), or be forged with an empty stack; resuming either
+// would index out of range, so both are ErrCheckpointCorrupt.
+func (cp *Checkpoint) Check(numStates int) error {
+	if !cp.Verify() {
+		return ErrCheckpointCorrupt
+	}
+	if cp.Cur < 0 || int(cp.Cur) >= numStates {
+		return fmt.Errorf("%w: state %d outside this machine's %d states",
+			ErrCheckpointCorrupt, cp.Cur, numStates)
+	}
+	if len(cp.Stack) == 0 {
+		return fmt.Errorf("%w: empty stack (no ⊥ entry)", ErrCheckpointCorrupt)
+	}
+	return nil
+}
+
 // Checkpoint copies the execution's resumable state into cp,
 // overwriting whatever cp held, and seals it. cp's slices are reused.
 func (e *Execution) Checkpoint(cp *Checkpoint) {
@@ -120,16 +140,8 @@ func (e *Execution) Checkpoint(cp *Checkpoint) {
 // the execution and are kept). The execution's buffers are reused; cp
 // is not aliased and may be restored again later.
 func (e *Execution) Restore(cp *Checkpoint) error {
-	if !cp.Verify() {
-		return ErrCheckpointCorrupt
-	}
-	// A snapshot can carry a valid seal yet belong to a different
-	// machine (a durable checkpoint restored after a grammar swap):
-	// refuse a state the executing machine does not have rather than
-	// resuming into out-of-range indexing.
-	if cp.Cur < 0 || int(cp.Cur) >= len(e.M.States) {
-		return fmt.Errorf("%w: state %d outside this machine's %d states",
-			ErrCheckpointCorrupt, cp.Cur, len(e.M.States))
+	if err := cp.Check(len(e.M.States)); err != nil {
+		return err
 	}
 	e.cur = cp.Cur
 	e.stack = append(e.stack[:0], cp.Stack...)

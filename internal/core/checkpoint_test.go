@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -243,6 +244,38 @@ func TestCheckpointBufferReuse(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Checkpoint+Restore = %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestRestoreRefusesSealedGarbage pins that a checkpoint whose seal is
+// intact but whose contents cannot be resumed — an empty stack, a state
+// the machine lacks — is ErrCheckpointCorrupt and leaves the execution
+// untouched.
+func TestRestoreRefusesSealedGarbage(t *testing.T) {
+	m := PalindromeHDPDA()
+	e := NewExecution(m, ExecOptions{})
+	if _, _, err := drive(e, []Symbol{'0', '1'}, 2); err != nil {
+		t.Fatal(err)
+	}
+	var good Checkpoint
+	e.Checkpoint(&good)
+	for name, forge := range map[string]func(*Checkpoint){
+		"empty stack":  func(c *Checkpoint) { c.Stack = c.Stack[:0] },
+		"state range":  func(c *Checkpoint) { c.Cur = StateID(len(m.States)) },
+		"negative cur": func(c *Checkpoint) { c.Cur = -1 },
+	} {
+		var bad Checkpoint
+		e.Checkpoint(&bad)
+		forge(&bad)
+		bad.Seal()
+		if err := e.Restore(&bad); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("%s: Restore = %v, want ErrCheckpointCorrupt", name, err)
+		}
+		var after Checkpoint
+		e.Checkpoint(&after)
+		if after.Digest != good.Digest {
+			t.Errorf("%s: refused Restore changed the execution", name)
+		}
 	}
 }
 

@@ -361,7 +361,7 @@ func TestEngineResetEquivalence(t *testing.T) {
 	}
 }
 
-// Compile must reject machines whose shape the dense tables cannot
+// Compile must reject machines whose shape the dispatch tables cannot
 // represent soundly (determinism violations), mirroring Validate.
 func TestEngineCompileRejectsInvalid(t *testing.T) {
 	m := &core.HDPDA{Name: "eps-overlap"}
@@ -409,5 +409,29 @@ func TestEngineProgramShape(t *testing.T) {
 	again, err := cm.Engine()
 	if err != nil || again != prog {
 		t.Errorf("Engine() not cached: %p vs %p (%v)", again, prog, err)
+	}
+}
+
+// TestBuiltinTableBytes pins the lowered footprint of every built-in
+// grammar: dispatch rows are as wide as the machine's stack-class count
+// and input alphabet, not 256, and must stay that way.
+func TestBuiltinTableBytes(t *testing.T) {
+	maxKiB := map[string]int{"JSON": 64, "XML": 64, "DOT": 512, "Cool": 3584, "MiniC": 4608}
+	for _, l := range append(lang.All(), lang.MiniC()) {
+		cm, err := l.Compile(compile.OptAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := cm.Engine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, ok := maxKiB[l.Name]
+		if !ok {
+			t.Fatalf("no table bound for %s", l.Name)
+		}
+		if kib := prog.TableBytes() >> 10; kib > bound {
+			t.Errorf("%s: engine tables take %d KiB, bound %d KiB", l.Name, kib, bound)
+		}
 	}
 }

@@ -28,8 +28,11 @@ type Options struct {
 type Exec struct {
 	p *Program
 
-	cur      int32
-	stack    []core.Symbol
+	cur int32
+	// stack holds entries, not raw symbols: the symbol in the low byte,
+	// its stack class in the high byte, so dispatch reads the TOS class
+	// with a shift.
+	stack    []uint16
 	depth    int
 	pos      int
 	res      core.Result
@@ -54,12 +57,12 @@ func NewExec(p *Program, opts Options) *Exec {
 	e := &Exec{
 		p:        p,
 		cur:      p.start,
-		stack:    make([]core.Symbol, 1, 16),
+		stack:    make([]uint16, 1, 16),
 		depth:    depth,
 		epsLimit: lim,
 		collect:  opts.CollectReports,
 	}
-	e.stack[0] = core.BottomOfStack
+	e.stack[0] = p.entry[core.BottomOfStack]
 	e.res.FinalState = core.StateID(p.start)
 	return e
 }
@@ -73,7 +76,7 @@ func (e *Exec) Program() *Program { return e.p }
 func (e *Exec) Reset() {
 	e.cur = e.p.start
 	e.stack = e.stack[:1]
-	e.stack[0] = core.BottomOfStack
+	e.stack[0] = e.p.entry[core.BottomOfStack]
 	e.pos = 0
 	e.epsSeq = 0
 	e.res = core.Result{FinalState: core.StateID(e.p.start)}
@@ -86,7 +89,7 @@ func (e *Exec) Pos() int { return e.pos }
 func (e *Exec) Current() core.StateID { return core.StateID(e.cur) }
 
 // TOS returns the current top-of-stack symbol.
-func (e *Exec) TOS() core.Symbol { return e.stack[len(e.stack)-1] }
+func (e *Exec) TOS() core.Symbol { return core.Symbol(e.stack[len(e.stack)-1]) }
 
 // StackLen returns the number of symbols on the stack above ⊥.
 func (e *Exec) StackLen() int { return len(e.stack) - 1 }
@@ -109,7 +112,7 @@ func (e *Exec) activate(id int32) error {
 			return fmt.Errorf("%w: state %d (%s) at depth %d",
 				core.ErrStackOverflow, id, e.p.labels[id], e.depth)
 		}
-		e.stack = append(e.stack, e.p.pushSym[id])
+		e.stack = append(e.stack, e.p.pushEnt[id])
 	}
 	if d := len(e.stack) - 1; d > e.res.MaxStackDepth {
 		e.res.MaxStackDepth = d
@@ -136,7 +139,7 @@ func (e *Exec) activate(id int32) error {
 // StepEpsilon takes one enabled ε-transition; false when none is
 // enabled.
 func (e *Exec) StepEpsilon() (bool, error) {
-	t := e.p.epsNext[uint32(e.cur)<<8|uint32(e.stack[len(e.stack)-1])]
+	t := e.p.epsSucc(uint32(e.cur), e.stack[len(e.stack)-1])
 	if t == noState {
 		return false, nil
 	}
@@ -151,7 +154,7 @@ func (e *Exec) StepEpsilon() (bool, error) {
 func (e *Exec) DrainEpsilon() (int, error) {
 	n := 0
 	for {
-		t := e.p.epsNext[uint32(e.cur)<<8|uint32(e.stack[len(e.stack)-1])]
+		t := e.p.epsSucc(uint32(e.cur), e.stack[len(e.stack)-1])
 		if t == noState {
 			return n, nil
 		}
@@ -168,24 +171,19 @@ func (e *Exec) DrainEpsilon() (int, error) {
 // Feed consumes one input symbol (ε-moves must be drained first). It
 // returns false when no successor is enabled: the machine jams.
 func (e *Exec) Feed(sym core.Symbol) (bool, error) {
-	tos := e.stack[len(e.stack)-1]
-	i := e.p.inHead[uint32(e.cur)<<8|uint32(sym)]
-	for i != 0 {
-		t := e.p.candTarget[i]
-		if e.p.stackSet[t].Contains(tos) {
-			// Count the symbol before activating, exactly as core does:
-			// a report (or stack fault) fired by the consuming state
-			// sees the post-consumption position.
-			e.pos++
-			e.res.Consumed = e.pos
-			if err := e.activate(t); err != nil {
-				return false, err
-			}
-			return true, nil
-		}
-		i = e.p.candNext[i]
+	t := e.p.inputSucc(uint32(e.cur), sym, e.stack[len(e.stack)-1])
+	if t == noState {
+		return false, nil
 	}
-	return false, nil
+	// Count the symbol before activating, exactly as core does: a report
+	// (or stack fault) fired by the consuming state sees the
+	// post-consumption position.
+	e.pos++
+	e.res.Consumed = e.pos
+	if err := e.activate(t); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // FeedAll consumes codes in order — drain ε-moves, feed, per symbol —
@@ -204,21 +202,28 @@ func (e *Exec) FeedAll(codes []core.Symbol) (fed int, jammed bool, err error) {
 		return e.feedSlow(codes)
 	}
 	p := e.p
+	// Shifts are at most 8; the mask lets the compiler drop its
+	// shift-width checks from the loop.
+	epsShift, inShift := p.epsShift&31, p.inShift&31
 	cur := uint32(e.cur)
 	stack := e.stack
-	pos := e.pos
 	epsSeq := e.epsSeq
-	steps := e.res.Steps
 	stalls := e.res.EpsilonStalls
 	maxDepth := e.res.MaxStackDepth
 	reports := e.res.ReportCount
 
+	// The position and step count are not kept in the loop, which
+	// leaves registers for the two row shifts: each of codes[:fed] was
+	// consumed by one completed activation, and a stack fault in the
+	// activation consuming codes[fed] still counts that symbol, as core
+	// does.
 	fed = len(codes)
+	faulted := 0
 loop:
 	for i, c := range codes {
 		// Drain ε-moves.
 		for {
-			t := p.epsNext[cur<<8|uint32(stack[len(stack)-1])]
+			t := p.epsNext[cur<<epsShift|uint32(stack[len(stack)-1]>>8)]
 			if t == noState {
 				break
 			}
@@ -241,65 +246,68 @@ loop:
 						core.ErrStackOverflow, t, p.labels[t], e.depth)
 					break loop
 				}
-				stack = append(stack, p.pushSym[t])
+				stack = append(stack, p.pushEnt[t])
 			}
 			if d := len(stack) - 1; d > maxDepth {
 				maxDepth = d
 			}
 			cur = uint32(t)
-			steps++
 			stalls++
 			epsSeq++
 			if f&flagAccept != 0 {
 				reports++
 			}
 		}
-		// Feed c.
-		tos := stack[len(stack)-1]
-		idx := p.inHead[cur<<8|uint32(c)]
-		for idx != 0 {
-			t := p.candTarget[idx]
-			if p.stackSet[t].Contains(tos) {
-				pos++
-				f := p.flags[t]
-				if n := int(p.popCnt[t]); n > 0 {
-					if n > len(stack)-1 {
-						fed, err = i, fmt.Errorf("%w: state %d (%s) pops %d with depth %d",
-							core.ErrStackUnderflow, t, p.labels[t], n, len(stack)-1)
-						break loop
-					}
-					stack = stack[:len(stack)-n]
-				}
-				if f&flagPush != 0 {
-					if len(stack)-1 >= e.depth {
-						fed, err = i, fmt.Errorf("%w: state %d (%s) at depth %d",
-							core.ErrStackOverflow, t, p.labels[t], e.depth)
-						break loop
-					}
-					stack = append(stack, p.pushSym[t])
-				}
-				if d := len(stack) - 1; d > maxDepth {
-					maxDepth = d
-				}
-				cur = uint32(t)
-				steps++
-				epsSeq = 0
-				if f&flagAccept != 0 {
-					reports++
-				}
-				continue loop
-			}
-			idx = p.candNext[idx]
+		// Feed c (p.inputSucc, inlined).
+		t := noState
+		if uint32(c)>>inShift == 0 {
+			t = p.inNext[cur<<inShift|uint32(c)]
 		}
-		fed, jammed = i, true
-		break loop
+		cls := core.Symbol(stack[len(stack)-1] >> 8)
+		if t < 0 {
+			t = p.chainSucc(uint32(^t), cls)
+		} else if !p.classSet[t].Contains(cls) {
+			t = noState
+		}
+		if t == noState {
+			fed, jammed = i, true
+			break loop
+		}
+		f := p.flags[t]
+		if n := int(p.popCnt[t]); n > 0 {
+			if n > len(stack)-1 {
+				fed, err = i, fmt.Errorf("%w: state %d (%s) pops %d with depth %d",
+					core.ErrStackUnderflow, t, p.labels[t], n, len(stack)-1)
+				faulted = 1
+				break loop
+			}
+			stack = stack[:len(stack)-n]
+		}
+		if f&flagPush != 0 {
+			if len(stack)-1 >= e.depth {
+				fed, err = i, fmt.Errorf("%w: state %d (%s) at depth %d",
+					core.ErrStackOverflow, t, p.labels[t], e.depth)
+				faulted = 1
+				break loop
+			}
+			stack = append(stack, p.pushEnt[t])
+		}
+		if d := len(stack) - 1; d > maxDepth {
+			maxDepth = d
+		}
+		cur = uint32(t)
+		epsSeq = 0
+		if f&flagAccept != 0 {
+			reports++
+		}
 	}
 
+	pos := e.pos + fed + faulted
+	e.res.Steps += stalls - e.res.EpsilonStalls + fed
 	e.cur = int32(cur)
 	e.stack = stack
 	e.pos = pos
 	e.epsSeq = epsSeq
-	e.res.Steps = steps
 	e.res.EpsilonStalls = stalls
 	e.res.MaxStackDepth = maxDepth
 	e.res.ReportCount = reports
@@ -337,7 +345,10 @@ func (e *Exec) Result() core.Result { return e.res }
 // checkpointed under one backend restores under the other.
 func (e *Exec) Checkpoint(cp *core.Checkpoint) {
 	cp.Cur = core.StateID(e.cur)
-	cp.Stack = append(cp.Stack[:0], e.stack...)
+	cp.Stack = cp.Stack[:0]
+	for _, ent := range e.stack {
+		cp.Stack = append(cp.Stack, core.Symbol(ent))
+	}
 	cp.Pos = e.pos
 	cp.EpsSeq = e.epsSeq
 	reports := append(cp.Res.Reports[:0], e.res.Reports...)
@@ -347,18 +358,20 @@ func (e *Exec) Checkpoint(cp *core.Checkpoint) {
 }
 
 // Restore rewinds the execution to cp after verifying the seal,
-// rejecting corrupted snapshots and out-of-range states exactly as
-// core.Execution.Restore does.
+// rejecting corrupted snapshots, out-of-range states and empty stacks
+// exactly as core.Execution.Restore does. Each raw stack symbol maps to
+// its class through the program's entry table, so a restored stack —
+// even one holding symbols no state pushes — dispatches exactly as the
+// simulator would.
 func (e *Exec) Restore(cp *core.Checkpoint) error {
-	if !cp.Verify() {
-		return core.ErrCheckpointCorrupt
-	}
-	if cp.Cur < 0 || int(cp.Cur) >= e.p.numStates {
-		return fmt.Errorf("%w: state %d outside this machine's %d states",
-			core.ErrCheckpointCorrupt, cp.Cur, e.p.numStates)
+	if err := cp.Check(e.p.numStates); err != nil {
+		return err
 	}
 	e.cur = int32(cp.Cur)
-	e.stack = append(e.stack[:0], cp.Stack...)
+	e.stack = e.stack[:0]
+	for _, sym := range cp.Stack {
+		e.stack = append(e.stack, e.p.entry[sym])
+	}
 	e.pos = cp.Pos
 	e.epsSeq = cp.EpsSeq
 	reports := append(e.res.Reports[:0], cp.Res.Reports...)

@@ -6,7 +6,10 @@ package engine_test
 // same outcome, counters, and error string through the engine backend
 // as through the cycle-accurate simulator. A second selector exercises the machine
 // level directly on the palindrome hDPDA, where the raw bytes are the
-// input symbols. Run via `make fuzz`; seeds run on plain `go test`.
+// input symbols; a third restores the document's leading bytes as a
+// raw stack (any symbols at all, or none) onto one of four machines
+// and feeds the rest as codes. Run via `make fuzz`; seeds run on plain
+// `go test`.
 
 import (
 	"reflect"
@@ -29,8 +32,11 @@ type fuzzLang struct {
 var fuzzOnce struct {
 	sync.Once
 	langs []fuzzLang
-	pal   *engine.Program
-	err   error
+	// restore holds the machines of the restore selector, with their
+	// programs; the palindrome machine is restore[1].
+	restore []*core.HDPDA
+	progs   []*engine.Program
+	err     error
 }
 
 func fuzzSetup(t testing.TB) ([]fuzzLang, *engine.Program) {
@@ -48,12 +54,21 @@ func fuzzSetup(t testing.TB) ([]fuzzLang, *engine.Program) {
 			}
 			fuzzOnce.langs = append(fuzzOnce.langs, fuzzLang{l, cm, prog})
 		}
-		fuzzOnce.pal, fuzzOnce.err = engine.Compile(core.PalindromeHDPDA())
+		fuzzOnce.restore = []*core.HDPDA{twoCandHDPDA(), core.PalindromeHDPDA(),
+			fuzzOnce.langs[0].cm.Machine, fuzzOnce.langs[1].cm.Machine}
+		for _, m := range fuzzOnce.restore {
+			prog, err := engine.Compile(m)
+			if err != nil {
+				fuzzOnce.err = err
+				return
+			}
+			fuzzOnce.progs = append(fuzzOnce.progs, prog)
+		}
 	})
 	if fuzzOnce.err != nil {
 		t.Fatal(fuzzOnce.err)
 	}
-	return fuzzOnce.langs, fuzzOnce.pal
+	return fuzzOnce.langs, fuzzOnce.progs[1]
 }
 
 // fuzzParse runs doc through a streaming parse, chunked by the rng
@@ -87,7 +102,8 @@ func fuzzParse(t testing.TB, fl fuzzLang, sim bool, doc []byte, seed uint64, dep
 
 func FuzzEngineDifferential(f *testing.F) {
 	// Seeds: the stream fuzzer's historical crasher shapes, documents
-	// that reach every error class, and palindrome-selector inputs.
+	// that reach every error class, palindrome-selector inputs, and
+	// restore-selector inputs (seed bits: machine, stack length, state).
 	seeds := []struct {
 		doc  string
 		sel  byte
@@ -108,6 +124,13 @@ func FuzzEngineDifferential(f *testing.F) {
 		{"0110c0110", 2, 0, 3},
 		{"01c01", 2, 0, 0},
 		{"000111", 2, 0, 0},
+		// Two-candidate machine at its start state, stack ⊥ 5 9 (never
+		// pushed; 5 only in one candidate's label): ε-pop, chain, end,
+		// then a code past the input width.
+		{"\x00\x05\x09aex\xc8", 3, 0 | 3<<8, 0},
+		// Palindrome machine in its pop state over ⊥ 0xff (in no pop
+		// label), then codes up to the row edge and past it.
+		{"\x00\xff1c0\x7f\x80", 3, 1 | 2<<8 | 4<<16, 2},
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s.doc), s.sel, s.seed, s.dep)
@@ -117,7 +140,16 @@ func FuzzEngineDifferential(f *testing.F) {
 		langs, pal := fuzzSetup(t)
 		depth := int(dep) // 0 = backend default (256)
 
-		if sel%3 == 2 {
+		if sel%4 == 3 {
+			// Restore: doc[:n] is the raw stack, doc[n:] the codes.
+			i := int(seed % uint64(len(fuzzOnce.restore)))
+			m, prog := fuzzOnce.restore[i], fuzzOnce.progs[i]
+			n := int((seed >> 8) % uint64(len(doc)+1))
+			cp := sealed(core.StateID((seed>>16)%uint64(len(m.States))), core.BytesToSymbols(doc[:n]))
+			restoreDiff(t, m, prog, cp, core.BytesToSymbols(doc[n:]), depth, seed&(1<<40) != 0)
+			return
+		}
+		if sel%4 == 2 {
 			// Machine-level: raw bytes are input symbols for the
 			// palindrome hDPDA (its alphabet handles all 256 values).
 			syms := core.BytesToSymbols(doc)
@@ -134,7 +166,7 @@ func FuzzEngineDifferential(f *testing.F) {
 			return
 		}
 
-		fl := langs[int(sel%3)%len(langs)]
+		fl := langs[int(sel%4)%len(langs)]
 		want, wantErr := fuzzParse(t, fl, true, doc, seed, depth)
 		got, gotErr := fuzzParse(t, fl, false, doc, seed, depth)
 		if errString(gotErr) != errString(wantErr) {

@@ -119,11 +119,12 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSessionPut accepts a shipped checkpoint image for this node to
-// resume from. The image must pass both integrity seals (422 — a torn
-// upload must never be trusted) and must have been taken on the exact
-// machine build this node serves the grammar with (410, the same
-// non-retryable verdict Restore's ErrMachineMismatch gets — shipping it
-// anywhere else cannot succeed either, so the router must not retry).
+// resume from. The image must pass both integrity seals and restore on
+// this node's parser (422 — a torn or forged upload must never be
+// trusted) and must have been taken on the exact machine build this
+// node serves the grammar with (410, the same non-retryable verdict
+// Restore's ErrMachineMismatch gets — shipping it anywhere else cannot
+// succeed either, so the router must not retry).
 func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "1")
@@ -151,6 +152,19 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusGone, ErrorResponse{
 			Error: "session " + r.PathValue("id") + " cannot resume on this node's " + g.name +
 				" build: " + stream.ErrMachineMismatch.Error()})
+		return
+	}
+	// Sealed and from this build, the image can still be unrestorable (a
+	// forged empty machine stack): refuse it now rather than store an
+	// image every later chunk of the session would fail on.
+	p := g.parsers.Get().(*stream.Parser)
+	rerr := p.Restore(&cp)
+	p.Reset()
+	g.parsers.Put(p)
+	if rerr != nil {
+		s.m.ckptCorrupt.Inc()
+		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{
+			Error: "uploaded checkpoint image does not restore (not stored): " + rerr.Error()})
 		return
 	}
 	if serr := s.st.Checkpoints.SaveBytes(key, data); serr != nil {

@@ -3,13 +3,16 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 
 	"aspen/internal/lang"
 	"aspen/internal/store"
+	"aspen/internal/stream"
 )
 
 // newHandoffServer boots a durable single- or multi-grammar server for
@@ -335,5 +338,66 @@ func TestSessionCheckpointDelete(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !pr.Accepted || pr.Bytes != len(doc) {
 		t.Fatalf("post-delete restart: status %d accepted %v bytes %d want %d", resp.StatusCode, pr.Accepted, pr.Bytes, len(doc))
+	}
+}
+
+// TestSessionEmptyStackImage pins the forged-image contract: an image
+// whose machine stack is empty but whose seals were recomputed is
+// refused 422 at upload with nothing stored, and a stored one ends its
+// session with 410 and is deleted — never a panic on the next chunk.
+func TestSessionEmptyStackImage(t *testing.T) {
+	doc := []byte(lang.JSONSample)
+	s, ts := newHandoffServer(t, lang.JSON())
+
+	resp, err := http.Post(ts.URL+"/v1/parse/JSON?session=a", "application/octet-stream", bytes.NewReader(doc[:len(doc)/2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	getResp, err := http.Get(ts.URL + "/v1/sessions/JSON/a/checkpoint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, _ := io.ReadAll(getResp.Body)
+	getResp.Body.Close()
+
+	var cp stream.Checkpoint
+	if err := cp.UnmarshalBinary(img); err != nil {
+		t.Fatal(err)
+	}
+	cp.Exec.Stack = cp.Exec.Stack[:0]
+	cp.Exec.Seal()
+	cp.Seal()
+	forged, err := cp.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	put := putImage(t, ts, "JSON", "b", forged)
+	body, _ := io.ReadAll(put.Body)
+	if put.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("empty-stack upload: status %d (%s), want 422", put.StatusCode, body)
+	}
+	if _, _, err := s.st.Checkpoints.LoadBytes(sessionKey("JSON", "b")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("empty-stack upload was stored: %v", err)
+	}
+
+	// An image that reached the store anyway (written before uploads
+	// were checked) ends its session cleanly.
+	key := sessionKey("JSON", "c")
+	if err := s.st.Checkpoints.SaveBytes(key, forged); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{http.StatusGone, http.StatusOK} {
+		resp, err := http.Post(ts.URL+"/v1/parse/JSON?session=c", "application/octet-stream", bytes.NewReader(doc[:len(doc)/2]))
+		if err != nil {
+			t.Fatalf("chunk %d on a stored empty-stack image: %v", i, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("chunk %d on a stored empty-stack image: status %d (%s), want %d", i, resp.StatusCode, body, want)
+		}
 	}
 }
