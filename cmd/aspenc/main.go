@@ -198,7 +198,7 @@ func runCheck(path, name, format string, lim admit.Limits) int {
 		StackBound:  res.StackBound,
 		States:      res.States,
 		TableBytes:  res.TableBytes,
-		Fingerprint: telemetry.TraceIDString(res.Language.Prebuilt.Machine.Fingerprint()),
+		Fingerprint: telemetry.TraceIDString(res.Language.Prebuilt.Fingerprint()),
 	})
 	return 0
 }

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"aspen/internal/compile"
 	"aspen/internal/core"
+	"aspen/internal/lang"
 	"aspen/internal/mnrl"
 )
 
@@ -85,6 +87,37 @@ func TestAdmitPDA(t *testing.T) {
 	assertAccepts(t, res, "aab", false)
 	assertAccepts(t, res, "ba", false)
 	assertAccepts(t, res, "aba", false)
+}
+
+// TestCompiledFingerprintCached pins compile.Compiled.Fingerprint, the
+// digest every parser stamps into its checkpoints: hashed once and
+// cached, it must equal Machine.Fingerprint for the built-ins and for
+// an uploaded machine, whose stack depth admission sets after compiling.
+func TestCompiledFingerprintCached(t *testing.T) {
+	var cms []*compile.Compiled
+	for _, l := range append(lang.All(), lang.MiniC()) {
+		cm, err := l.Compile(compile.OptAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cms = append(cms, cm)
+	}
+	res, err := Admit("alt", FormatPDA, []byte(pdaAlternating), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cms = append(cms, res.Language.Prebuilt)
+	if len(cms) != 6 {
+		t.Fatalf("%d machines, want the five built-ins and the upload", len(cms))
+	}
+	for _, cm := range cms {
+		want := cm.Machine.Fingerprint()
+		for i := 0; i < 2; i++ {
+			if got := cm.Fingerprint(); got != want {
+				t.Fatalf("%s: call %d: Fingerprint() = %016x, Machine.Fingerprint() = %016x", cm.Machine.Name, i, got, want)
+			}
+		}
+	}
 }
 
 func TestAdmitMNRL(t *testing.T) {

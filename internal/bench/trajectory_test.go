@@ -115,6 +115,7 @@ func TestCommittedMetricDirections(t *testing.T) {
 		"engine_parse_ns_kib": lowerIsBetter,
 		"exec_speedup":        higherIsBetter,
 		"parse_speedup":       higherIsBetter,
+		"scan_ns_kib":         lowerIsBetter,
 		"sim_exec_ns_kib":     lowerIsBetter,
 		"sim_parse_ns_kib":    lowerIsBetter,
 		"states":              neutralMetric,

@@ -65,8 +65,10 @@ type Compiled struct {
 	Machine *core.HDPDA
 	Stats   Stats
 
-	// eng caches the fast-path lowering (see engine.go / Engine).
+	// eng caches the fast-path lowering (see engine.go / Engine), fp
+	// the machine's fingerprint (Fingerprint).
 	eng engineCache
+	fp  fingerprintCache
 }
 
 // FromGrammar compiles g to an hDPDA.

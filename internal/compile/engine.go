@@ -22,6 +22,12 @@ type engineCache struct {
 	err  error
 }
 
+// fingerprintCache is the once-per-Compiled machine fingerprint.
+type fingerprintCache struct {
+	once sync.Once
+	fp   uint64
+}
+
 // Engine returns the fast-path engine.Program lowered from this
 // machine, building it on first use and caching it for the Compiled's
 // lifetime. Lowering re-validates the machine (the dispatch tables
@@ -33,4 +39,14 @@ func (c *Compiled) Engine() (*engine.Program, error) {
 		c.eng.prog, c.eng.err = engine.Compile(c.Machine)
 	})
 	return c.eng.prog, c.eng.err
+}
+
+// Fingerprint returns Machine.Fingerprint, hashing the machine on first
+// use and caching the digest for the Compiled's lifetime under the same
+// assumption Engine makes: the machine is not mutated once it is
+// served. Every parser a pool builds stamps it into its checkpoints, so
+// a pool refill after a GC must not hash the whole machine again.
+func (c *Compiled) Fingerprint() uint64 {
+	c.fp.once.Do(func() { c.fp.fp = c.Machine.Fingerprint() })
+	return c.fp.fp
 }

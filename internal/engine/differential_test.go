@@ -396,9 +396,6 @@ func TestEngineProgramShape(t *testing.T) {
 	if prog.Name() != cm.Machine.Name {
 		t.Errorf("Name = %q, want %q", prog.Name(), cm.Machine.Name)
 	}
-	if prog.Fingerprint() != cm.Machine.Fingerprint() {
-		t.Error("fingerprint mismatch")
-	}
 	if prog.StackDepth() != core.DefaultStackDepth {
 		t.Errorf("StackDepth = %d", prog.StackDepth())
 	}

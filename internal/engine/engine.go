@@ -65,7 +65,6 @@ type Program struct {
 	numStates  int
 	stackDepth int
 	start      int32
-	fp         uint64 // source machine fingerprint
 
 	// Per-state entry actions, indexed by state ID (structure of
 	// arrays: the hot loop reads only the columns it needs).
@@ -149,7 +148,6 @@ func Compile(m *core.HDPDA) (*Program, error) {
 		numStates:  n,
 		stackDepth: depth,
 		start:      int32(m.Start),
-		fp:         m.Fingerprint(),
 		flags:      make([]uint8, n),
 		popCnt:     make([]uint8, n),
 		pushEnt:    make([]uint16, n),
@@ -283,11 +281,6 @@ func (p *Program) NumStates() int { return p.numStates }
 
 // StackDepth returns the machine's configured stack depth.
 func (p *Program) StackDepth() int { return p.stackDepth }
-
-// Fingerprint returns the source machine's structural fingerprint, so
-// checkpoints taken by an engine Exec interoperate with the simulator's
-// (stream-level checkpoints stamp the machine fingerprint).
-func (p *Program) Fingerprint() uint64 { return p.fp }
 
 // TableBytes reports the lowered tables' approximate memory footprint,
 // for capacity observability (/v1/grammars).

@@ -9,16 +9,21 @@
 //
 // In software the NFAs are the construction, not the runtime: New
 // determinizes every mode and merges the DFAs into one dense table
-// under integer mode indices, and both the Token API and the code path
-// (Bound.Scan, which writes machine codes straight into the buffer the
-// parser feeds) run the same longest-match loop over it. Stats still
-// count the NFA's symbol and handoff cycles, so the hardware model sees
-// the same inputs.
+// under integer mode indices. The Token API runs the longest-match loop
+// over it. The code path (Bound.Scan, which writes machine codes
+// straight into the buffer the parser feeds) steps each byte once: an
+// accept state's row carries tunnel entries, so the byte that ends one
+// lexeme steps straight into the next, and the loop hands the rare cases
+// (backtracking, errors, the end of the input) to the longest-match
+// loop. Stats still count the NFA's symbol and handoff cycles, so the
+// hardware model sees the same inputs.
 package lexer
 
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"aspen/internal/core"
@@ -106,18 +111,28 @@ func (e *Error) Error() string {
 // Per-state kind bits, carried in the low byte of every table entry
 // that leads to the state. A state with none set is an interior state
 // of some lexeme: the scan steps straight on.
+//
+// Two more bits mark an entry rather than its state: a tunnel entry in
+// an accept state's row ends that state's lexeme on the entry's byte and
+// names the state the next lexeme reaches on the same byte (see New).
 const (
 	kindDead   = 1 << iota // state 0: no rule can match any more
 	kindAccept             // some rule's lexeme may end here
 	kindLoop               // loops to itself on every byte but exit[s]
+	kindTunnel             // entry: the lexeme ends, the next one steps on
+	kindEmit               // entry: a tunnel out of a non-skip accept state
 
 	kindMask = 0xff
+	kindEnd  = kindDead | kindTunnel // entry: the stepped lexeme is over
 )
 
 // Per-state emission codes: a machine code ≥ 0, or one of these.
 const (
 	emitSkip = -1 // a skip rule's lexeme is dropped
 	emitNone = -2 // the rule's name is not a terminal of the bound machine
+
+	// noneSym is the code slot Scan's loop writes for an emitNone state.
+	noneSym = emitNone & 0xff
 )
 
 // Lexer is a compiled tokenizer: every mode's DFA merged into one dense
@@ -128,6 +143,7 @@ type Lexer struct {
 	spec  Spec
 	modes []string // mode index → name
 	start []uint32 // mode index → the table entry of the mode's start state
+	first []uint32 // mode index → the mode's lowest state; modes are contiguous
 
 	// trans is the merged transition table. An entry names a state t as
 	// t<<8 | kind(t), which is both t's row offset and its kind bits:
@@ -150,6 +166,11 @@ type Lexer struct {
 // non-nullable (a rule matching the empty string could never advance
 // the input), and a mode whose DFA exceeds the subset construction's
 // state cap is an error.
+//
+// An accept state's dead entries then become tunnels: the byte that
+// ends its lexeme is the first byte of the next one, so the entry is
+// the one the start state of the rule's next mode takes on that byte.
+// A byte no rule of the next mode starts with stays dead.
 func New(spec Spec) (*Lexer, error) {
 	byMode := map[string][]int{}
 	for i, r := range spec.Rules {
@@ -209,6 +230,7 @@ func New(spec Spec) (*Lexer, error) {
 		spec:  spec,
 		modes: modes,
 		start: make([]uint32, len(modes)),
+		first: make([]uint32, len(modes)),
 		trans: make([]uint32, states<<8),
 		rule:  make([]int32, states),
 		next:  make([]int32, states),
@@ -222,7 +244,7 @@ func New(spec Spec) (*Lexer, error) {
 	base := uint32(1)
 	for mi, d := range dfas {
 		idxs := byMode[modes[mi]]
-		l.start[mi] = base + uint32(d.Start)
+		l.start[mi], l.first[mi] = base+uint32(d.Start), base
 		for s := range d.Report {
 			ms := base + uint32(s)
 			row := l.trans[ms<<8 : ms<<8+256]
@@ -265,7 +287,33 @@ func New(spec Spec) (*Lexer, error) {
 	for mi, t := range l.start {
 		l.start[mi] = t<<8 | kind[t]
 	}
+	// Start states accept nothing, so no row read here is rewritten.
+	for s, k := range kind {
+		if k&kindAccept == 0 {
+			continue
+		}
+		flag := uint32(kindTunnel | kindEmit)
+		if l.emit[s] == emitSkip {
+			flag = kindTunnel
+		}
+		row := l.trans[s<<8 : s<<8+256]
+		next := l.trans[l.start[l.next[s]]&^kindMask:][:256]
+		for b, e := range row {
+			if e == kindDead && next[b] != kindDead {
+				row[b] = next[b] | flag
+			}
+		}
+	}
 	return l, nil
+}
+
+// modeOf returns the mode whose DFA holds state s (not the dead state).
+func (l *Lexer) modeOf(s uint32) int {
+	m := len(l.first) - 1
+	for s < l.first[m] {
+		m--
+	}
+	return m
 }
 
 // NumModes returns the number of lexer modes.
@@ -330,7 +378,7 @@ func (l *Lexer) tokenize(dst []Token, input []byte, mode string, streaming bool)
 		return dst, 0, mode, Stats{Bytes: len(input)}, fmt.Errorf("lexer %s: unknown mode %q", l.spec.Name, mode)
 	}
 	out := sink{emit: l.emit, toks: dst}
-	consumed, m, stats, err := l.scan(&out, input, m, streaming)
+	consumed, m, stats, err := l.scan(&out, input, 0, m, streaming)
 	return out.toks, consumed, l.modes[m], stats, err
 }
 
@@ -340,33 +388,37 @@ func (l *Lexer) tokenize(dst []Token, input []byte, mode string, streaming bool)
 type Bound struct {
 	*Lexer
 	emit []int16
+	// partial is set when some accept state's rule is not a terminal
+	// of the machine.
+	partial bool
 }
 
 // Bind resolves every accept state's rule to a machine code through
 // code, which reports ok=false for a rule whose name is not a terminal
 // of the machine. Skip rules are not asked.
 func (l *Lexer) Bind(code func(rule int) (core.Symbol, bool)) *Bound {
-	emit := make([]int16, len(l.emit))
+	b := &Bound{Lexer: l, emit: make([]int16, len(l.emit))}
 	for s, e := range l.emit {
-		emit[s] = e
+		b.emit[s] = e
 		if l.rule[s] < 0 || e == emitSkip {
 			continue
 		}
-		emit[s] = emitNone
+		b.emit[s] = emitNone
 		if c, ok := code(int(l.rule[s])); ok {
-			emit[s] = int16(c)
+			b.emit[s] = int16(c)
+		} else {
+			b.partial = true
 		}
 	}
-	return &Bound{Lexer: l, emit: emit}
+	return b
 }
 
 // Codes is the code path's output, reused across scans.
 type Codes struct {
 	// Syms holds the machine code of each non-skip lexeme in input
-	// order, up to the first lexeme whose rule is not a terminal.
+	// order, up to the first lexeme whose rule is not a terminal. Scan
+	// gives it one slot per input byte.
 	Syms []core.Symbol
-	// Starts holds each code's lexeme start offset in the scanned input.
-	Starts []int
 	// NonTerminal is the rule of the first lexeme whose name is not a
 	// terminal of the bound machine, or -1. The scan lexes on past it,
 	// so a later lex error still surfaces, but emits no more codes.
@@ -374,24 +426,127 @@ type Codes struct {
 }
 
 // Scan lexes input starting in mode (an index), resetting out and
-// appending to it a code and start offset per non-skip lexeme. With
-// final false, input is a prefix of a longer stream and a lexeme alive
-// at its end is held back, as in TokenizeChunk; with final true the
-// input ends the stream, as in TokenizeResume. It returns the bytes
-// consumed, the mode there, and the scan's Stats; after a lex error out
-// holds the lexemes before it.
+// appending to it a code per non-skip lexeme. With final false, input
+// is a prefix of a longer stream and a lexeme alive at its end is held
+// back, as in TokenizeChunk; with final true the input ends the stream,
+// as in TokenizeResume. It returns the bytes consumed, the mode there,
+// and the scan's Stats; after a lex error out holds the lexemes before
+// it. Scan keeps no offsets: Start recovers the one a caller needs.
+//
+// Scan steps each byte once (see steps), jumping over a self-looping
+// state's run with bytes.IndexByte. The loop stops at a dead entry (a
+// lexeme that must back up to an earlier accept, or a lex error) and at
+// the end of input; the end mode is read off the state it stops in.
+// Unless a non-final scan holds the current lexeme back, the input from
+// that lexeme's start goes to the longest-match loop. A lexeme whose
+// rule is not a terminal leaves noneSym in its slot; if one did (or a
+// terminal's code equals it), the longest-match loop redoes the whole
+// input.
 func (b *Bound) Scan(out *Codes, input []byte, mode int, final bool) (consumed, endMode int, stats Stats, err error) {
-	out.Syms, out.Starts, out.NonTerminal = out.Syms[:0], out.Starts[:0], -1
-	return b.scan(&sink{emit: b.emit, codes: out}, input, mode, !final)
+	l := b.Lexer
+	syms := slices.Grow(out.Syms[:0], len(input))[:len(input)]
+	// The loop's packed counters cap it at 4 GiB - 1 bytes; the
+	// longest-match loop takes any rest.
+	hot := input
+	if limit := uint64(math.MaxUint32); uint64(len(input)) > limit {
+		hot = input[:limit]
+	}
+	c := cursor{e: l.start[mode]}
+	for b.steps(&c, syms, hot) {
+		j := bytes.IndexByte(hot[c.i:], l.exit[c.e>>8])
+		if j < 0 {
+			j = len(hot) - c.i
+		}
+		c.i += j
+	}
+	n, lexemes, start := int(uint32(c.cnt)), int(c.cnt>>32), c.start
+	// Each lexeme the loop ended was stepped once more for the byte its
+	// tunnel re-presents.
+	stats = Stats{Bytes: len(input), Tokens: lexemes, ScanCycles: start + lexemes, HandoffCycles: 2 * n}
+	endMode = l.modeOf(c.e >> 8)
+	switch {
+	case b.partial && slices.Contains(syms[:n], noneSym):
+		n, stats, start, endMode = 0, Stats{Bytes: len(input)}, 0, mode
+	case c.i == len(input) && !final:
+		stats.ScanCycles += len(input) - start
+		out.Syms, out.NonTerminal = syms[:n], -1
+		return start, endMode, stats, nil
+	}
+	rest := sink{emit: b.emit, codes: true, syms: syms, n: n, stop: -1}
+	consumed, endMode, more, err := l.scan(&rest, input, start, endMode, !final)
+	stats.Tokens += more.Tokens
+	stats.ScanCycles += more.ScanCycles
+	stats.HandoffCycles += more.HandoffCycles
+	out.Syms, out.NonTerminal = syms[:rest.n], rest.nonTerm
+	return consumed, endMode, stats, err
 }
 
-// sink receives a scan's lexemes through a per-state emission table:
-// Token values for the Token API (codes nil), or machine codes and
-// start offsets for the code path.
+// cursor is Scan's loop state: the state named e, reached at input[i],
+// and the start of its lexeme; cnt packs the codes written (low 32
+// bits) with the lexemes ended (high 32 bits), so the loop keeps every
+// value it carries in a register.
+type cursor struct {
+	e        uint32
+	i, start int
+	cnt      uint64
+}
+
+// steps is Scan's loop: one table load per byte, from c until a dead
+// entry, a self-looping state or the end of input. It reports whether
+// it stopped in a self-looping state. Every byte writes the current
+// state's code into the next free slot; a tunnel out of a non-skip
+// accept state keeps it, as the count of written codes advances by the
+// entry's kindEmit bit. Neither that nor the lexeme count or start
+// takes a branch, which on token-dense input would mispredict.
+func (b *Bound) steps(c *cursor, syms []core.Symbol, input []byte) bool {
+	trans, emit := b.trans, b.emit
+	syms = syms[:len(input)]
+	e, i, start, cnt := c.e, c.i, c.start, c.cnt
+	loop := false
+	for i < len(input) {
+		syms[uint32(cnt)] = core.Symbol(emit[e>>8])
+		t := trans[e&^kindMask|uint32(input[i])]
+		if t&kindDead != 0 {
+			break
+		}
+		if t&kindTunnel != 0 {
+			start = i
+		}
+		cnt += uint64(t/kindEmit&1) | uint64(t/kindTunnel&1)<<32
+		e = t
+		i++
+		if t&kindLoop != 0 {
+			loop = true
+			break
+		}
+	}
+	c.e, c.i, c.start, c.cnt = e, i, start, cnt
+	return loop
+}
+
+// Start returns the start offset of the code out.Syms[k] that Scan
+// wrote for input in mode. It re-runs the longest-match loop from the
+// start of input up to that lexeme, rewriting the same codes before it
+// in place, so a parser pays for it once: on the code its machine jams
+// on.
+func (b *Bound) Start(out *Codes, input []byte, mode, k int) int {
+	find := sink{emit: b.emit, codes: true, syms: slices.Grow(out.Syms[:0], len(input))[:len(input)], stop: k}
+	pos, _, _, _ := b.scan(&find, input, 0, mode, false)
+	return pos
+}
+
+// sink receives the longest-match loop's lexemes through a per-state
+// emission table: Token values for the Token API, or machine codes into
+// the code path's slots.
 type sink struct {
-	emit  []int16
-	toks  []Token
-	codes *Codes
+	emit []int16
+	toks []Token
+
+	codes   bool
+	syms    []core.Symbol // one slot per input byte
+	n       int           // codes written
+	nonTerm int           // as Codes.NonTerminal, once set
+	stop    int           // stop at the lexeme that would write code stop (-1: never)
 }
 
 // token appends the Token API's token for a lexeme accepted in state
@@ -401,26 +556,21 @@ func (s *sink) token(l *Lexer, acc uint32, start, end int) {
 	s.toks = append(s.toks, Token{Rule: int(r), Name: l.spec.Rules[r].Name, Start: start, End: end})
 }
 
-// scan is the longest-match loop every entry point runs. Each lexeme
-// steps the merged table from its mode's start state until the dead
-// state, remembering the last accept state; a kindLoop state jumps to
-// its exit byte with bytes.IndexByte, and the bytes it passes count as
-// stepped. The lexeme then emits, switches mode, and the next starts at
-// its end. When streaming, a lexeme still alive at the end of input is
-// held back: more input could extend it.
-func (l *Lexer) scan(out *sink, input []byte, mode int, streaming bool) (consumed, endMode int, stats Stats, err error) {
+// scan is the longest-match loop, from pos to the end of input. Each
+// lexeme steps the merged table from its mode's start state until an
+// entry ends it (dead, or a tunnel, which this loop does not take),
+// remembering the last accept state; a kindLoop state jumps to its exit
+// byte with bytes.IndexByte, and the bytes it passes count as stepped.
+// The lexeme then emits, switches mode, and the next starts at its end,
+// its first byte stepped again. When streaming, a lexeme still alive at
+// the end of input is held back: more input could extend it. Stats count
+// from pos.
+func (l *Lexer) scan(out *sink, input []byte, pos, mode int, streaming bool) (consumed, endMode int, stats Stats, err error) {
 	trans, emit := l.trans, out.emit
-	tokens := out.codes == nil
-	var (
-		syms    []core.Symbol
-		starts  []int
-		nonTerm = -1
-	)
-	if !tokens {
-		syms, starts = out.codes.Syms, out.codes.Starts
-	}
+	syms, n := out.syms, out.n
+	nonTerm := -1
 	var cycles, lexemes, handoffs int
-	pos := 0
+lexing:
 	for pos < len(input) {
 		t := l.start[mode]
 		best, acc := -1, uint32(0)
@@ -431,7 +581,7 @@ func (l *Lexer) scan(out *sink, input []byte, mode int, streaming bool) (consume
 			if t&kindMask == 0 {
 				continue
 			}
-			if t&kindDead != 0 {
+			if t&kindEnd != 0 {
 				break
 			}
 			if t&kindAccept != 0 {
@@ -449,7 +599,7 @@ func (l *Lexer) scan(out *sink, input []byte, mode int, streaming bool) (consume
 			}
 		}
 		cycles += i - pos
-		if streaming && t&kindDead == 0 {
+		if streaming && t&kindEnd == 0 {
 			break
 		}
 		if best < 0 {
@@ -460,12 +610,15 @@ func (l *Lexer) scan(out *sink, input []byte, mode int, streaming bool) (consume
 		if e := emit[acc]; e != emitSkip {
 			handoffs += 2
 			switch {
-			case tokens:
+			case !out.codes:
 				out.token(l, acc, pos, best)
 			case nonTerm >= 0:
 			case e >= 0:
-				syms = append(syms, core.Symbol(e))
-				starts = append(starts, pos)
+				if n == out.stop {
+					break lexing
+				}
+				syms[n] = core.Symbol(e)
+				n++
 			default:
 				nonTerm = int(l.rule[acc])
 			}
@@ -473,9 +626,7 @@ func (l *Lexer) scan(out *sink, input []byte, mode int, streaming bool) (consume
 		mode = int(l.next[acc])
 		pos = best
 	}
-	if !tokens {
-		out.codes.Syms, out.codes.Starts, out.codes.NonTerminal = syms, starts, nonTerm
-	}
+	out.n, out.nonTerm = n, nonTerm
 	return pos, mode, Stats{Bytes: len(input), Tokens: lexemes, ScanCycles: cycles, HandoffCycles: handoffs}, err
 }
 

@@ -438,7 +438,8 @@ func TestSessionResumeAcrossServers(t *testing.T) {
 }
 
 // TestSessionRefusesCorruptImage: a bit-flipped stored checkpoint is
-// answered 410 + checkpoint_store_corrupt_total, never resumed.
+// answered 410 + checkpoint_store_corrupt_total, never resumed or
+// shipped.
 func TestSessionRefusesCorruptImage(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -455,15 +456,19 @@ func TestSessionRefusesCorruptImage(t *testing.T) {
 	resp.Body.Close()
 
 	// Flip one byte of the stored image.
-	path := filepath.Join(dir, "checkpoints", "sess-JSON-frag.ckpt")
-	img, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	flip := func(id string) {
+		t.Helper()
+		path := filepath.Join(dir, "checkpoints", "sess-JSON-"+id+".ckpt")
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img[len(img)/2] ^= 0x20
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	img[len(img)/2] ^= 0x20
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flip("frag")
 
 	resp, err = http.Post(ts.URL+"/v1/parse/JSON?session=frag&final=1", "application/octet-stream", bytes.NewReader(doc[7:]))
 	if err != nil {
@@ -473,8 +478,27 @@ func TestSessionRefusesCorruptImage(t *testing.T) {
 	if resp.StatusCode != http.StatusGone {
 		t.Fatalf("corrupt session image: status %d, want 410", resp.StatusCode)
 	}
-	if got := s.Registry().Snapshot().Counters["checkpoint_store_corrupt_total"]; got != 1 {
+	if got := corruptTotal(s); got != 1 {
 		t.Fatalf("checkpoint_store_corrupt_total = %d, want 1", got)
+	}
+
+	// The handoff GET refuses to ship a corrupt image, and counts it.
+	resp, err = http.Post(ts.URL+"/v1/parse/JSON?session=ship", "application/octet-stream", bytes.NewReader(doc[:7]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	flip("ship")
+	resp, err = http.Get(ts.URL + "/v1/sessions/JSON/ship/checkpoint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Fatalf("corrupt image GET: status %d, want 410", resp.StatusCode)
+	}
+	if got := corruptTotal(s); got != 2 {
+		t.Fatalf("checkpoint_store_corrupt_total = %d after the GET, want 2", got)
 	}
 
 	// Concurrent chunks for one session conflict.

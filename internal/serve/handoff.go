@@ -148,7 +148,7 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 			Error: "uploaded checkpoint image failed its integrity seals (torn or corrupt; not stored)"})
 		return
 	}
-	if mfp := g.cm.Machine.Fingerprint(); cp.Machine != mfp {
+	if mfp := g.cm.Fingerprint(); cp.Machine != mfp {
 		writeJSON(w, http.StatusGone, ErrorResponse{
 			Error: "session " + r.PathValue("id") + " cannot resume on this node's " + g.name +
 				" build: " + stream.ErrMachineMismatch.Error()})

@@ -27,6 +27,12 @@ func newHandoffServer(t *testing.T, langs ...*lang.Language) (*Server, *httptest
 	return newTestServer(t, Options{Languages: langs, Store: st})
 }
 
+// corruptTotal reads checkpoint_store_corrupt_total, which every path
+// that refuses a session checkpoint image raises by one.
+func corruptTotal(s *Server) int64 {
+	return s.Registry().Snapshot().Counters["checkpoint_store_corrupt_total"]
+}
+
 func putImage(t *testing.T, ts *httptest.Server, grammar, id string, img []byte) *http.Response {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPut,
@@ -139,8 +145,12 @@ func TestSessionHandoffTornUpload(t *testing.T) {
 		"bitflip":   append(append([]byte{}, img[:len(img)-3]...), img[len(img)-3]^0x40, img[len(img)-2], img[len(img)-1]),
 		"garbage":   []byte("not a checkpoint"),
 	} {
+		before := corruptTotal(sB)
 		if got := putImage(t, tsB, "JSON", "torn", bad).StatusCode; got != http.StatusUnprocessableEntity {
 			t.Errorf("%s upload: status %d, want 422", name, got)
+		}
+		if got := corruptTotal(sB) - before; got != 1 {
+			t.Errorf("%s upload: checkpoint_store_corrupt_total rose by %d, want 1", name, got)
 		}
 	}
 	// Nothing was stored: the receiver has no image for the session.
@@ -374,10 +384,14 @@ func TestSessionEmptyStackImage(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	before := corruptTotal(s)
 	put := putImage(t, ts, "JSON", "b", forged)
 	body, _ := io.ReadAll(put.Body)
 	if put.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("empty-stack upload: status %d (%s), want 422", put.StatusCode, body)
+	}
+	if got := corruptTotal(s) - before; got != 1 {
+		t.Fatalf("empty-stack upload: checkpoint_store_corrupt_total rose by %d, want 1", got)
 	}
 	if _, _, err := s.st.Checkpoints.LoadBytes(sessionKey("JSON", "b")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("empty-stack upload was stored: %v", err)
@@ -389,15 +403,21 @@ func TestSessionEmptyStackImage(t *testing.T) {
 	if err := s.st.Checkpoints.SaveBytes(key, forged); err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []int{http.StatusGone, http.StatusOK} {
+	// Only the refused restore counts; the fresh restart after it does
+	// not.
+	for i, want := range []struct{ status, rise int64 }{{http.StatusGone, 1}, {http.StatusOK, 0}} {
+		before := corruptTotal(s)
 		resp, err := http.Post(ts.URL+"/v1/parse/JSON?session=c", "application/octet-stream", bytes.NewReader(doc[:len(doc)/2]))
 		if err != nil {
 			t.Fatalf("chunk %d on a stored empty-stack image: %v", i, err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Fatalf("chunk %d on a stored empty-stack image: status %d (%s), want %d", i, resp.StatusCode, body, want)
+		if int64(resp.StatusCode) != want.status {
+			t.Fatalf("chunk %d on a stored empty-stack image: status %d (%s), want %d", i, resp.StatusCode, body, want.status)
+		}
+		if got := corruptTotal(s) - before; got != want.rise {
+			t.Fatalf("chunk %d on a stored empty-stack image: checkpoint_store_corrupt_total rose by %d, want %d", i, got, want.rise)
 		}
 	}
 }

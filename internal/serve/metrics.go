@@ -109,7 +109,7 @@ func newServiceMetrics(reg *telemetry.Registry) serviceMetrics {
 
 		journalAppends:  reg.Counter("journal_appends_total", "registry mutation records fsync'd to the write-ahead journal"),
 		reloadSwaps:     reg.Counter("reload_swaps_total", "atomic registry snapshot swaps (admin mutations and SIGHUP reloads)"),
-		ckptCorrupt:     reg.Counter("checkpoint_store_corrupt_total", "stored session checkpoints refused by their integrity seals"),
+		ckptCorrupt:     reg.Counter("checkpoint_store_corrupt_total", "session checkpoint images refused: stored ones failing their integrity seals or refused by restore (a swapped build), uploaded ones failing their seals or the trial restore"),
 		journalReplay:   reg.Gauge("journal_replay_records", "journal records replayed at the last startup"),
 		journalCommitNS: reg.Histogram("serve_journal_commit_ns", "write-ahead journal append+fsync latency (ns)", phaseNSBuckets),
 

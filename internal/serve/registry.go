@@ -287,7 +287,7 @@ func (g *grammarEntry) info(queueDepth int) GrammarInfo {
 		Format:           g.lang.Format,
 		StackBound:       g.lang.StackBound,
 		Name:             g.name,
-		Fingerprint:      telemetry.TraceIDString(g.cm.Machine.Fingerprint()),
+		Fingerprint:      telemetry.TraceIDString(g.cm.Fingerprint()),
 		States:           g.cm.Stats.States,
 		EpsilonStates:    g.cm.Stats.EpsStates,
 		TokenTypes:       g.cm.Stats.TokenTypes,

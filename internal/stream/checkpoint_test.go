@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"aspen/internal/compile"
@@ -308,5 +309,66 @@ func TestStreamRestoreUnknownMode(t *testing.T) {
 	}
 	if out, err := p.Close(); err != nil || !out.Accepted {
 		t.Fatalf("parse after the refused restore: out=%+v err=%v", out, err)
+	}
+}
+
+// TestJamPosIsTokenStart pins where a jam is recorded: a checkpoint's
+// JamPos is the start offset of the token the machine jammed on, as
+// whole-input Tokenize places it, wherever the jam happens — inside a
+// chunk, on the first code of a later chunk (a token held back across
+// the boundary), or in Close's final flush.
+func TestJamPosIsTokenStart(t *testing.T) {
+	l := lang.JSON()
+	cm, err := l.Compile(compile.OptAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lx, err := l.Lexer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		chunks []string
+		close  bool
+	}{
+		{"mid-chunk", []string{`[1, 2]] , 3`}, false},
+		{"held-back", []string{`{"a": [1, 2]} 4`, `5, 6`}, false},
+		{"close", []string{`[1, 2] 45`}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := NewParser(l, cm, core.ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ch := range c.chunks {
+				if _, err := p.Write([]byte(ch)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var cp Checkpoint
+			p.Checkpoint(&cp)
+			if cp.Jammed == c.close {
+				t.Fatalf("jammed %v before Close, want %v", cp.Jammed, !c.close)
+			}
+			if c.close {
+				if _, err := p.Close(); err != nil {
+					t.Fatal(err)
+				}
+				p.Checkpoint(&cp)
+			}
+			if !cp.Jammed {
+				t.Fatal("the parser did not jam")
+			}
+			doc := strings.Join(c.chunks, "")
+			toks, _, err := lx.Tokenize([]byte(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := toks[cp.Tokens-1].Start; cp.JamPos != want {
+				t.Fatalf("JamPos = %d, want %d, the start of token %d (%q) in %q",
+					cp.JamPos, want, cp.Tokens-1, toks[cp.Tokens-1].Text([]byte(doc)), doc)
+			}
+		})
 	}
 }

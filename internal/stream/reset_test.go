@@ -145,9 +145,9 @@ func TestResetReparseAllocatesNothing(t *testing.T) {
 	}
 }
 
-// A tail grown past maxKeptTail by one huge lexeme is released at
-// Close instead of being pinned in a parser pool; an ordinary one is
-// kept for the next parse.
+// A tail grown past maxKeptTail by one huge lexeme, and the code
+// scratch sized to it, are released at Close instead of being pinned in
+// a parser pool; ordinary ones are kept for the next parse.
 func TestCloseReleasesOversizedTail(t *testing.T) {
 	l := lang.JSON()
 	cm, err := l.Compile(compile.OptAll)
@@ -171,11 +171,14 @@ func TestCloseReleasesOversizedTail(t *testing.T) {
 		}
 	}
 	parse([]byte(`"` + strings.Repeat("x", 2*maxKeptTail) + `"`))
-	if c := cap(p.tail); c != 0 {
-		t.Errorf("after a %d-byte lexeme the tail keeps %d bytes, want it released", 2*maxKeptTail, c)
+	if c, s := cap(p.tail), cap(p.scan.Syms); c != 0 || s != 0 {
+		t.Errorf("after a %d-byte lexeme the tail keeps %d bytes and the code scratch %d, want both released", 2*maxKeptTail, c, s)
 	}
 	parse([]byte(`["short", "strings", "only"]`))
 	if c := cap(p.tail); c == 0 || c > maxKeptTail {
 		t.Errorf("after a small document the tail keeps %d bytes, want 1..%d", c, maxKeptTail)
+	}
+	if s := cap(p.scan.Syms); s == 0 || s > maxKeptTail {
+		t.Errorf("after a small document the code scratch keeps %d slots, want 1..%d", s, maxKeptTail)
 	}
 }

@@ -47,8 +47,9 @@ type Runner func(codes []core.Symbol) (fed int, jammed bool, err error)
 var endCodes = []core.Symbol{compile.EndCode}
 
 // maxKeptTail bounds the tail capacity a parser keeps across Close and
-// Reset: four of serving's 32 KiB reads. A tail grown past it by one
-// huge lexeme is released rather than pinned in a parser pool.
+// Reset: four of serving's 32 KiB reads. A tail, or the code scratch
+// sized to it, grown past it by one huge lexeme is released rather than
+// pinned in a parser pool.
 const maxKeptTail = 4 * (32 << 10)
 
 // Parser is an incremental lex+parse pipeline.
@@ -60,7 +61,7 @@ type Parser struct {
 	run  Runner // exec.FeedAll unless SetRunner replaced it
 	mfp  uint64 // machine fingerprint, stamped into checkpoints
 
-	scan   lexer.Codes // per-chunk codes and lexeme starts, reused across Writes
+	scan   lexer.Codes // per-chunk codes, reused across Writes
 	mode   int         // lexer mode index; 0 is lexer.DefaultMode
 	tail   []byte      // bytes not yet safely tokenized
 	offset int         // stream offset of tail[0]
@@ -167,7 +168,7 @@ func NewParserBackend(l *lang.Language, cm *compile.Compiled, b Backend) (*Parse
 		l: l, cm: cm, lx: bound,
 		exec: b,
 		run:  b.FeedAll,
-		mfp:  cm.Machine.Fingerprint(),
+		mfp:  cm.Fingerprint(),
 	}, nil
 }
 
@@ -294,20 +295,23 @@ func (p *Parser) Close() (Outcome, error) {
 }
 
 // dropTail empties the tail, keeping its buffer unless it grew past
-// maxKeptTail.
+// maxKeptTail; the code scratch, one slot per tail byte, goes with it.
 func (p *Parser) dropTail() {
+	p.tail = p.tail[:0]
 	if cap(p.tail) > maxKeptTail {
 		p.tail = nil
-		return
 	}
-	p.tail = p.tail[:0]
+	if cap(p.scan.Syms) > maxKeptTail {
+		p.scan.Syms = nil
+	}
 }
 
 // feed consumes the codes the chunk's scan wrote in one run call. A fed
-// token counts; a jamming token counts and records its position; a
-// machine fault leaves the faulting token uncounted. A non-terminal
-// token ends the codes the scan wrote: that prefix is consumed first,
-// and the error surfaces only if the machine got through it.
+// token counts; a jamming token counts and records its position, which
+// the lexer recovers for that one code; a machine fault leaves the
+// faulting token uncounted. A non-terminal token ends the codes the
+// scan wrote: that prefix is consumed first, and the error surfaces
+// only if the machine got through it.
 func (p *Parser) feed() error {
 	if p.jammed {
 		return nil
@@ -324,7 +328,7 @@ func (p *Parser) feed() error {
 	if jammed {
 		p.tokens++
 		p.jammed = true
-		p.jamPos = p.offset + sc.Starts[fed]
+		p.jamPos = p.offset + p.lx.Start(sc, p.tail, p.mode, fed)
 		return nil
 	}
 	if sc.NonTerminal >= 0 {
