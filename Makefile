@@ -1,14 +1,19 @@
 # Developer entry points. `make check` is the documented pre-merge
-# gate: vet, formatting, and the full test suite under the race
-# detector (the telemetry layer is lock-free atomics — races there are
-# exactly what -race exists to catch).
+# gate: vet, formatting, a 32-bit build, and the full test suite under
+# the race detector (the telemetry layer is lock-free atomics — races
+# there are exactly what -race exists to catch).
 
 GO ?= go
 
-.PHONY: build test check fmt vet race fuzz bench bench-json experiments serve-smoke fleet-smoke overload-smoke perfbench
+.PHONY: build build-386 test check fmt vet race fuzz bench bench-json experiments serve-smoke fleet-smoke overload-smoke perfbench
 
 build:
 	$(GO) build ./...
+
+# Cross-build the whole tree for a 32-bit target, where int is 32 bits:
+# constants and table indexes that only fit a 64-bit int fail here.
+build-386:
+	GOARCH=386 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -72,7 +77,7 @@ perfbench:
 	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 # Pre-merge check: run before every merge/PR.
-check: vet fmt race serve-smoke fleet-smoke overload-smoke fuzz perfbench
+check: vet fmt build-386 race serve-smoke fleet-smoke overload-smoke fuzz perfbench
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./internal/bench

@@ -21,9 +21,18 @@
 //     stack-class set (compiled grammars match one token code per
 //     non-ε state, so one candidate per slot is the rule); the rare
 //     slot with several candidates heads a short chain of them.
+//   - Runs of ε-moves that lowering can decide are taken in one step.
+//     Where a state's entry action leaves a known class on top (it
+//     pushes, or leaves the stack alone under a one-class label),
+//     Compile follows the drain's ε-run from it symbolically and records
+//     it as a static ε-tail: its final state, counts and stack effect.
+//     FeedAll takes a tail whole when the class on top is the one it
+//     assumes and no budget, underflow or depth fault could fall inside
+//     it, and steps state by state otherwise, so every counter and
+//     fault stays the simulator's.
 //   - No hooks, no fault injector, no per-cycle accounting beyond the
-//     counters core.Result requires. The hot loop touches five parallel
-//     arrays indexed by state ID.
+//     counters core.Result requires. An activation reads one packed op
+//     word for its state's entry action.
 //   - Executions are poolable: Reset rewinds one without reallocating,
 //     so each pooled serving parser owns one Exec and runs every chunk
 //     through a single FeedAll call. Concurrent requests share only the
@@ -36,21 +45,42 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"unsafe"
 
 	"aspen/internal/core"
 )
 
-// State flag bits, packed so the hot loop reads one byte per
-// activation.
+// A state's op word packs its entry action, its stack label where the
+// label is one class, and its static ε-tail, so an activation reads one
+// word: flags in bits 0–7, the pop count in 8–15, the pushed stack
+// entry in 16–31, the label's class in 32–39 (with flagOneClass), and
+// its tail's index (0 = none) from bit 40. flagNoEps marks a state with
+// no ε-successor under any class, where a drain ends without a table
+// load.
 const (
-	flagEps    uint8 = 1 << 0
-	flagAccept uint8 = 1 << 1
-	flagPush   uint8 = 1 << 2
+	flagEps      = 1 << 0
+	flagAccept   = 1 << 1
+	flagPush     = 1 << 2
+	flagNoEps    = 1 << 3
+	flagOneClass = 1 << 4
+
+	popShift      = 8
+	entShift      = 16
+	lblShift      = 32
+	tailShift     = 40
+	hasTail       = 1 << tailShift
+	maxTailLength = 64
+	maxTailEnts   = 4
 )
 
 // noState marks an empty dispatch slot.
 const noState int32 = -1
+
+// noPush is a tail's pushAt when the tail pushes nothing: far enough
+// below any height a depth bound leaves that the overflow guard passes.
+const noPush = math.MinInt16
 
 // maxStates bounds the lowered machine so the [state<<shift|column]
 // table indexes (shift ≤ 8) stay within int range on 32-bit platforms.
@@ -66,12 +96,11 @@ type Program struct {
 	stackDepth int
 	start      int32
 
-	// Per-state entry actions, indexed by state ID (structure of
-	// arrays: the hot loop reads only the columns it needs).
-	flags   []uint8
-	popCnt  []uint8
-	pushEnt []uint16 // the stack entry pushed (see entry)
-	report  []int32
+	// Per-state columns, indexed by state ID (structure of arrays: the
+	// hot loop reads only the columns it needs). ops holds the op words
+	// described above.
+	ops    []uint64
+	report []int32
 	// classSet is the state's stack label as a set of stack classes,
 	// consulted when the state is an input-dispatch candidate.
 	classSet []core.SymbolSet
@@ -94,12 +123,32 @@ type Program struct {
 	// [state<<inShift|code]: a lone candidate successor (≥ 0), noState,
 	// or ^head of a chain of candidates through candTarget/candNext
 	// (slot 0 terminates the chain and is never a head). A candidate
-	// fires when its classSet holds the TOS class. Codes at or past
+	// fires when its stack label holds the TOS class. Codes at or past
 	// 1<<inShift match no state.
 	inShift    uint
 	inNext     []int32
 	candTarget []int32
 	candNext   []uint32
+
+	// tails are the static ε-tails, indexed by the op word's tail
+	// index (tails[0] is unused).
+	tails []tail
+}
+
+// A tail is the ε-run the drain takes from its head state when the top
+// of the stack has the class cls: every state on it leaves a class
+// lowering can name, so the whole run is decided before it starts.
+// Heights are relative to the head's stack height.
+type tail struct {
+	final   int32  // the state the run ends in
+	cls     uint16 // the stack class it assumes on top at its head
+	eps     int16  // ε-activations (≥ 2)
+	reports int16  // accept-state activations among them
+	below   int16  // head-stack entries popped: the height the run needs
+	reach   int16  // highest height reached after an activation
+	pushAt  int16  // highest height a push starts from (noPush if none)
+	entLen  int16  // entries left on top, ents[:entLen]
+	ents    [maxTailEnts]uint16
 }
 
 // Compile lowers m into a Program. The machine is validated first: the
@@ -148,9 +197,7 @@ func Compile(m *core.HDPDA) (*Program, error) {
 		numStates:  n,
 		stackDepth: depth,
 		start:      int32(m.Start),
-		flags:      make([]uint8, n),
-		popCnt:     make([]uint8, n),
-		pushEnt:    make([]uint16, n),
+		ops:        make([]uint64, n),
 		report:     make([]int32, n),
 		classSet:   make([]core.SymbolSet, n),
 		labels:     make([]string, n),
@@ -172,27 +219,31 @@ func Compile(m *core.HDPDA) (*Program, error) {
 	}
 	for i := range m.States {
 		st := &m.States[i]
-		var f uint8
+		op := flagNoEps | uint64(st.Op.Pop)<<popShift
 		if st.Epsilon {
-			f |= flagEps
+			op |= flagEps
 		}
 		if st.Accept {
-			f |= flagAccept
+			op |= flagAccept
 		}
 		if st.Op.HasPush {
-			f |= flagPush
+			op |= flagPush | uint64(p.entry[st.Op.Push])<<entShift
 		}
-		p.flags[i] = f
-		p.popCnt[i] = st.Op.Pop
-		p.pushEnt[i] = p.entry[st.Op.Push]
-		p.report[i] = st.Report
 		p.classSet[i] = classSets[st.Stack]
+		if cls, ok := onlyClass(p.classSet[i]); ok {
+			op |= flagOneClass | uint64(cls)<<lblShift
+		}
+		p.ops[i] = op
+		p.report[i] = st.Report
 		p.labels[i] = st.Label
 	}
 	for i := range m.States {
 		for _, t := range m.States[i].Succ {
 			st := &m.States[t]
 			if st.Epsilon {
+				if !p.classSet[t].IsEmpty() {
+					p.ops[i] &^= flagNoEps
+				}
 				base := uint32(i) << epsShift
 				var conflict error
 				forEachSymbol(p.classSet[t], func(c uint32) {
@@ -214,7 +265,79 @@ func Compile(m *core.HDPDA) (*Program, error) {
 			})
 		}
 	}
+	p.buildTails()
 	return p, nil
+}
+
+// buildTails records the static ε-tail of every state whose entry
+// action leaves a top-of-stack class lowering can name: the class of
+// the entry it pushes, or, for a state that leaves the stack alone,
+// the one class its label admits. From there the drain's ε-run is
+// followed symbolically — the entries it pushes are known, the head's
+// own stack is not — while each state on it leaves a nameable class on
+// top. The run ends after a state that pops into the head's stack and
+// pushes nothing (the class it exposes is not known), where no
+// successor is enabled, before a state already on the run or one that
+// would leave more than maxTailEnts entries on top, or at
+// maxTailLength, and is kept when it is at least two activations long.
+func (p *Program) buildTails() {
+	seen := make([]int32, p.numStates) // stamp: head+1 once on its run
+	var pushed []uint16
+	p.tails = make([]tail, 1)
+	for s := range p.ops {
+		op := p.ops[s]
+		var headCls uint32
+		switch {
+		case op&flagPush != 0:
+			headCls = uint32(op >> (entShift + 8) & 0xff)
+		case op>>popShift&0xff == 0 && op&flagOneClass != 0:
+			headCls = uint32(op >> lblShift & 0xff)
+		default:
+			continue
+		}
+		stamp := int32(s + 1)
+		seen[s] = stamp
+		pushed = pushed[:0]
+		tl := tail{final: int32(s), pushAt: noPush, reach: noPush}
+		cur, cls := uint32(s), headCls
+		for tl.eps < maxTailLength {
+			t := p.epsNext[cur<<p.epsShift|cls]
+			if t == noState || seen[t] == stamp {
+				break
+			}
+			top := p.ops[t]
+			k, lp := int16(top>>popShift&0xff), int16(len(pushed))
+			below, left := tl.below+max(k-lp, 0), max(lp-k, 0)
+			if top&flagPush != 0 && left == maxTailEnts {
+				break // t would leave more entries on top than a tail holds
+			}
+			tl.below, pushed = below, pushed[:left]
+			if top&flagPush != 0 {
+				tl.pushAt = max(tl.pushAt, left-below)
+				pushed = append(pushed, uint16(top>>entShift))
+			}
+			tl.reach = max(tl.reach, int16(len(pushed))-below)
+			tl.eps++
+			tl.reports += int16(top >> 1 & 1)
+			seen[t] = stamp
+			cur, tl.final = uint32(t), t
+			if len(pushed) == 0 && below > 0 {
+				break // t exposed an entry of the head's stack: its class is not known
+			}
+			if len(pushed) > 0 {
+				cls = uint32(pushed[len(pushed)-1] >> 8)
+			} else {
+				cls = headCls
+			}
+		}
+		if tl.eps < 2 {
+			continue
+		}
+		tl.entLen = int16(copy(tl.ents[:], pushed))
+		tl.cls = uint16(headCls)
+		p.ops[s] |= uint64(len(p.tails)) << tailShift
+		p.tails = append(p.tails, tl)
+	}
 }
 
 // addCandidate records t as an input candidate in dispatch slot idx:
@@ -261,6 +384,19 @@ func stackClasses(labels []core.SymbolSet) (class [256]uint8, n int) {
 	return class, n
 }
 
+// onlyClass returns the class of a one-class set.
+func onlyClass(cs core.SymbolSet) (uint32, bool) {
+	if cs.Len() != 1 {
+		return 0, false
+	}
+	for w, word := range cs {
+		if word != 0 {
+			return uint32(w*64 + bits.TrailingZeros64(word)), true
+		}
+	}
+	return 0, false
+}
+
 // forEachSymbol visits every symbol in the set, ascending.
 func forEachSymbol(s core.SymbolSet, fn func(sym uint32)) {
 	for w := 0; w < len(s); w++ {
@@ -285,10 +421,16 @@ func (p *Program) StackDepth() int { return p.stackDepth }
 // TableBytes reports the lowered tables' approximate memory footprint,
 // for capacity observability (/v1/grammars).
 func (p *Program) TableBytes() int {
-	return len(p.flags) + len(p.popCnt) + 2*len(p.pushEnt) +
-		4*len(p.report) + 32*len(p.classSet) + 2*len(p.entry) +
-		4*len(p.epsNext) + 4*len(p.inNext) +
-		4*len(p.candTarget) + 4*len(p.candNext)
+	return 8*len(p.ops) + 4*len(p.report) + 32*len(p.classSet) +
+		2*len(p.entry) + 4*len(p.epsNext) + 4*len(p.inNext) +
+		4*len(p.candTarget) + 4*len(p.candNext) +
+		int(unsafe.Sizeof(tail{}))*len(p.tails)
+}
+
+// admits reports whether state t's stack label holds class cls,
+// testing the one word of the set that holds it.
+func (p *Program) admits(t int32, cls uint32) bool {
+	return p.classSet[t][cls>>6&3]>>(cls&63)&1 != 0
 }
 
 // epsSucc returns the enabled ε-successor of state cur under the
@@ -305,11 +447,11 @@ func (p *Program) inputSucc(cur uint32, code core.Symbol, top uint16) int32 {
 	if uint32(code)>>p.inShift == 0 {
 		t = p.inNext[cur<<p.inShift|uint32(code)]
 	}
-	cls := core.Symbol(top >> 8)
+	cls := uint32(top >> 8)
 	if t < 0 {
 		return p.chainSucc(uint32(^t), cls)
 	}
-	if !p.classSet[t].Contains(cls) {
+	if !p.admits(t, cls) {
 		return noState
 	}
 	return t
@@ -317,9 +459,9 @@ func (p *Program) inputSucc(cur uint32, code core.Symbol, top uint16) int32 {
 
 // chainSucc walks a candidate chain from node (0 = empty) for the
 // candidate whose stack label holds class cls.
-func (p *Program) chainSucc(node uint32, cls core.Symbol) int32 {
+func (p *Program) chainSucc(node uint32, cls uint32) int32 {
 	for ; node != 0; node = p.candNext[node] {
-		if t := p.candTarget[node]; p.classSet[t].Contains(cls) {
+		if t := p.candTarget[node]; p.admits(t, cls) {
 			return t
 		}
 	}

@@ -99,20 +99,20 @@ func (e *Exec) StackLen() int { return len(e.stack) - 1 }
 // strings — serve responses embed them, and the two backends must
 // answer byte-identically).
 func (e *Exec) activate(id int32) error {
-	f := e.p.flags[id]
-	if n := int(e.p.popCnt[id]); n > 0 {
+	op := e.p.ops[id]
+	if n := int(op >> popShift & 0xff); n > 0 {
 		if n > len(e.stack)-1 {
 			return fmt.Errorf("%w: state %d (%s) pops %d with depth %d",
 				core.ErrStackUnderflow, id, e.p.labels[id], n, len(e.stack)-1)
 		}
 		e.stack = e.stack[:len(e.stack)-n]
 	}
-	if f&flagPush != 0 {
+	if op&flagPush != 0 {
 		if len(e.stack)-1 >= e.depth {
 			return fmt.Errorf("%w: state %d (%s) at depth %d",
 				core.ErrStackOverflow, id, e.p.labels[id], e.depth)
 		}
-		e.stack = append(e.stack, e.p.pushEnt[id])
+		e.stack = append(e.stack, uint16(op>>entShift))
 	}
 	if d := len(e.stack) - 1; d > e.res.MaxStackDepth {
 		e.res.MaxStackDepth = d
@@ -120,13 +120,13 @@ func (e *Exec) activate(id int32) error {
 	e.cur = id
 	e.res.FinalState = core.StateID(id)
 	e.res.Steps++
-	if f&flagEps != 0 {
+	if op&flagEps != 0 {
 		e.res.EpsilonStalls++
 		e.epsSeq++
 	} else {
 		e.epsSeq = 0
 	}
-	if f&flagAccept != 0 {
+	if op&flagAccept != 0 {
 		e.res.ReportCount++
 		if e.collect {
 			e.res.Reports = append(e.res.Reports,
@@ -191,10 +191,19 @@ func (e *Exec) Feed(sym core.Symbol) (bool, error) {
 // codes[fed], and any machine fault (the faulting symbol stays
 // uncounted). It is the fused hot loop stream.Parser runs once per
 // chunk: the drain/feed sequence of the stepping functions above with
-// the execution state held in locals, written back once per call
-// instead of once per activation. Its observable behavior — counters,
-// error classes, error strings, state left behind — is exactly that of
-// DrainEpsilon+Feed per symbol; the differential suite pins this.
+// the execution state in locals — the stack as an index into its
+// buffer, the top entry and the current state's op word beside it —
+// written back once per call instead of once per activation. Where the
+// current state heads a static ε-tail whose assumed class is on top and
+// whose budget, underflow and depth guards hold, the drain takes the
+// whole tail in one step; otherwise it steps state by state, so a
+// fault is raised by the same activation as on the simulator. A tail
+// is taken only inside a drain, never right after the feed that
+// reaches its head: the chunk may end there, and the simulator leaves
+// the machine in that state until the next symbol. Its observable
+// behavior — counters, error classes, error strings, state left
+// behind — is exactly that of DrainEpsilon+Feed per symbol; the
+// differential suite pins this.
 func (e *Exec) FeedAll(codes []core.Symbol) (fed int, jammed bool, err error) {
 	if e.collect {
 		// Report collection needs the per-activation position, so the
@@ -206,7 +215,10 @@ func (e *Exec) FeedAll(codes []core.Symbol) (fed int, jammed bool, err error) {
 	// shift-width checks from the loop.
 	epsShift, inShift := p.epsShift&31, p.inShift&31
 	cur := uint32(e.cur)
-	stack := e.stack
+	op := p.ops[cur]
+	// Entries past sp are dead; the buffer grows on demand.
+	stack, sp := e.stack[:cap(e.stack)], len(e.stack)-1
+	tos := stack[sp]
 	epsSeq := e.epsSeq
 	stalls := e.res.EpsilonStalls
 	maxDepth := e.res.MaxStackDepth
@@ -221,9 +233,34 @@ func (e *Exec) FeedAll(codes []core.Symbol) (fed int, jammed bool, err error) {
 	faulted := 0
 loop:
 	for i, c := range codes {
-		// Drain ε-moves.
+		// Drain ε-moves: the current state's whole tail when the class on
+		// top is the one it assumes and no fault can fall inside it, else
+		// one activation.
 		for {
-			t := p.epsNext[cur<<epsShift|uint32(stack[len(stack)-1]>>8)]
+			if op >= hasTail {
+				tl := &p.tails[op>>tailShift]
+				if tl.cls == tos>>8 && epsSeq+int(tl.eps) <= e.epsLimit &&
+					sp >= int(tl.below) && sp+int(tl.pushAt) < e.depth {
+					maxDepth = max(maxDepth, sp+int(tl.reach))
+					sp -= int(tl.below)
+					if sp+maxTailEnts >= len(stack) {
+						stack = grow(stack, sp+maxTailEnts)
+					}
+					*(*[maxTailEnts]uint16)(stack[sp+1:]) = tl.ents
+					sp += int(tl.entLen)
+					tos = stack[sp]
+					cur = uint32(tl.final)
+					op = p.ops[cur]
+					stalls += int(tl.eps)
+					epsSeq += int(tl.eps)
+					reports += int(tl.reports)
+					continue
+				}
+			}
+			if op&flagNoEps != 0 {
+				break
+			}
+			t := p.epsNext[cur<<epsShift|uint32(tos>>8)]
 			if t == noState {
 				break
 			}
@@ -231,81 +268,92 @@ loop:
 				fed, err = i, fmt.Errorf("%w: state %d after %d ε-steps", core.ErrEpsilonLimit, cur, epsSeq)
 				break loop
 			}
-			f := p.flags[t]
-			if n := int(p.popCnt[t]); n > 0 {
-				if n > len(stack)-1 {
+			op = p.ops[t]
+			if n := int(op >> popShift & 0xff); n > 0 {
+				if n > sp {
 					fed, err = i, fmt.Errorf("%w: state %d (%s) pops %d with depth %d",
-						core.ErrStackUnderflow, t, p.labels[t], n, len(stack)-1)
+						core.ErrStackUnderflow, t, p.labels[t], n, sp)
 					break loop
 				}
-				stack = stack[:len(stack)-n]
+				sp -= n
+				tos = stack[sp]
 			}
-			if f&flagPush != 0 {
-				if len(stack)-1 >= e.depth {
+			if op&flagPush != 0 {
+				if sp >= e.depth {
 					fed, err = i, fmt.Errorf("%w: state %d (%s) at depth %d",
 						core.ErrStackOverflow, t, p.labels[t], e.depth)
 					break loop
 				}
-				stack = append(stack, p.pushEnt[t])
+				sp++
+				if sp == len(stack) {
+					stack = grow(stack, sp)
+				}
+				tos = uint16(op >> entShift)
+				stack[sp] = tos
 			}
-			if d := len(stack) - 1; d > maxDepth {
-				maxDepth = d
-			}
+			maxDepth = max(maxDepth, sp)
 			cur = uint32(t)
 			stalls++
 			epsSeq++
-			if f&flagAccept != 0 {
-				reports++
-			}
+			reports += int(op >> 1 & 1)
 		}
 		// Feed c (p.inputSucc, inlined).
 		t := noState
 		if uint32(c)>>inShift == 0 {
 			t = p.inNext[cur<<inShift|uint32(c)]
 		}
-		cls := core.Symbol(stack[len(stack)-1] >> 8)
+		cls := uint32(tos >> 8)
 		if t < 0 {
 			t = p.chainSucc(uint32(^t), cls)
-		} else if !p.classSet[t].Contains(cls) {
-			t = noState
+			if t == noState {
+				fed, jammed = i, true
+				break loop
+			}
 		}
-		if t == noState {
+		op = p.ops[t]
+		if op&flagOneClass != 0 {
+			if uint32(op>>lblShift&0xff) != cls {
+				fed, jammed = i, true
+				break loop
+			}
+		} else if p.classSet[t][cls>>6&3]>>(cls&63)&1 == 0 {
 			fed, jammed = i, true
 			break loop
 		}
-		f := p.flags[t]
-		if n := int(p.popCnt[t]); n > 0 {
-			if n > len(stack)-1 {
+		if n := int(op >> popShift & 0xff); n > 0 {
+			if n > sp {
 				fed, err = i, fmt.Errorf("%w: state %d (%s) pops %d with depth %d",
-					core.ErrStackUnderflow, t, p.labels[t], n, len(stack)-1)
+					core.ErrStackUnderflow, t, p.labels[t], n, sp)
 				faulted = 1
 				break loop
 			}
-			stack = stack[:len(stack)-n]
+			sp -= n
+			tos = stack[sp]
 		}
-		if f&flagPush != 0 {
-			if len(stack)-1 >= e.depth {
+		if op&flagPush != 0 {
+			if sp >= e.depth {
 				fed, err = i, fmt.Errorf("%w: state %d (%s) at depth %d",
 					core.ErrStackOverflow, t, p.labels[t], e.depth)
 				faulted = 1
 				break loop
 			}
-			stack = append(stack, p.pushEnt[t])
+			sp++
+			if sp == len(stack) {
+				stack = grow(stack, sp)
+			}
+			tos = uint16(op >> entShift)
+			stack[sp] = tos
 		}
-		if d := len(stack) - 1; d > maxDepth {
-			maxDepth = d
-		}
+		maxDepth = max(maxDepth, sp)
 		cur = uint32(t)
 		epsSeq = 0
-		if f&flagAccept != 0 {
-			reports++
-		}
+		reports += int(op >> 1 & 1)
 	}
 
 	pos := e.pos + fed + faulted
 	e.res.Steps += stalls - e.res.EpsilonStalls + fed
 	e.cur = int32(cur)
-	e.stack = stack
+	e.stack = stack[:sp+1]
 	e.pos = pos
 	e.epsSeq = epsSeq
 	e.res.EpsilonStalls = stalls
@@ -314,6 +362,13 @@ loop:
 	e.res.Consumed = pos
 	e.res.FinalState = core.StateID(cur)
 	return fed, jammed, err
+}
+
+// grow returns stack, reallocated if need be, with index top in range
+// and its whole capacity in length.
+func grow(stack []uint16, top int) []uint16 {
+	stack = append(stack, make([]uint16, top+1-len(stack))...)
+	return stack[:cap(stack)]
 }
 
 // feedSlow is FeedAll through the plain stepping functions, used when
@@ -335,7 +390,7 @@ func (e *Exec) feedSlow(codes []core.Symbol) (fed int, jammed bool, err error) {
 }
 
 // InAccept reports whether the active state is an accept state.
-func (e *Exec) InAccept() bool { return e.p.flags[e.cur]&flagAccept != 0 }
+func (e *Exec) InAccept() bool { return e.p.ops[e.cur]&flagAccept != 0 }
 
 // Result returns a snapshot of the run statistics so far.
 func (e *Exec) Result() core.Result { return e.res }

@@ -1,13 +1,14 @@
 package engine_test
 
 // FuzzEngineDifferential is the engine↔simulator equivalence property
-// under coverage guidance: an arbitrary document, parsed at arbitrary
-// chunk boundaries under an arbitrary stack depth, must produce the
-// same outcome, counters, and error string through the engine backend
-// as through the cycle-accurate simulator. A second selector exercises the machine
+// under coverage guidance: an arbitrary document in any of the five
+// built-in grammars, parsed at arbitrary chunk boundaries under an
+// arbitrary stack depth and ε-budget, must produce the same outcome,
+// counters, and error string through the engine backend as through
+// the cycle-accurate simulator. A second selector exercises the machine
 // level directly on the palindrome hDPDA, where the raw bytes are the
 // input symbols; a third restores the document's leading bytes as a
-// raw stack (any symbols at all, or none) onto one of four machines
+// raw stack (any symbols at all, or none) onto one of seven machines
 // and feeds the rest as codes. Run via `make fuzz`; seeds run on plain
 // `go test`.
 
@@ -41,7 +42,7 @@ var fuzzOnce struct {
 
 func fuzzSetup(t testing.TB) ([]fuzzLang, *engine.Program) {
 	fuzzOnce.Do(func() {
-		for _, l := range []*lang.Language{lang.JSON(), lang.XML()} {
+		for _, l := range []*lang.Language{lang.JSON(), lang.XML(), lang.DOT(), lang.Cool(), lang.MiniC()} {
 			cm, err := l.Compile(compile.OptAll)
 			if err != nil {
 				fuzzOnce.err = err
@@ -54,8 +55,10 @@ func fuzzSetup(t testing.TB) ([]fuzzLang, *engine.Program) {
 			}
 			fuzzOnce.langs = append(fuzzOnce.langs, fuzzLang{l, cm, prog})
 		}
-		fuzzOnce.restore = []*core.HDPDA{twoCandHDPDA(), core.PalindromeHDPDA(),
-			fuzzOnce.langs[0].cm.Machine, fuzzOnce.langs[1].cm.Machine}
+		fuzzOnce.restore = []*core.HDPDA{twoCandHDPDA(), core.PalindromeHDPDA()}
+		for _, fl := range fuzzOnce.langs {
+			fuzzOnce.restore = append(fuzzOnce.restore, fl.cm.Machine)
+		}
 		for _, m := range fuzzOnce.restore {
 			prog, err := engine.Compile(m)
 			if err != nil {
@@ -73,13 +76,14 @@ func fuzzSetup(t testing.TB) ([]fuzzLang, *engine.Program) {
 
 // fuzzParse runs doc through a streaming parse, chunked by the rng
 // stream, on the simulator or the engine backend.
-func fuzzParse(t testing.TB, fl fuzzLang, sim bool, doc []byte, seed uint64, depth int) (stream.Outcome, error) {
+func fuzzParse(t testing.TB, fl fuzzLang, sim bool, doc []byte, seed uint64, depth, budget int) (stream.Outcome, error) {
 	var p *stream.Parser
 	var err error
 	if sim {
-		p, err = stream.NewParser(fl.l, fl.cm, core.ExecOptions{StackDepth: depth})
+		p, err = stream.NewParser(fl.l, fl.cm, core.ExecOptions{StackDepth: depth, EpsilonBudget: budget})
 	} else {
-		p, err = stream.NewParserBackend(fl.l, fl.cm, engine.NewExec(fl.prog, engine.Options{StackDepth: depth}))
+		p, err = stream.NewParserBackend(fl.l, fl.cm,
+			engine.NewExec(fl.prog, engine.Options{StackDepth: depth, EpsilonBudget: budget}))
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +106,9 @@ func fuzzParse(t testing.TB, fl fuzzLang, sim bool, doc []byte, seed uint64, dep
 
 func FuzzEngineDifferential(f *testing.F) {
 	// Seeds: the stream fuzzer's historical crasher shapes, documents
-	// that reach every error class, palindrome-selector inputs, and
+	// that reach every error class, the DOT, Cool and MiniC samples
+	// (whole, under a small stack depth, and under an ε-budget that
+	// runs out inside a static ε-tail), palindrome-selector inputs, and
 	// restore-selector inputs (seed bits: machine, stack length, state).
 	seeds := []struct {
 		doc  string
@@ -120,6 +126,13 @@ func FuzzEngineDifferential(f *testing.F) {
 		{`<r a="1">text<b/></r>`, 1, 7, 0},
 		{`<r></q>`, 1, 5, 0},
 		{`<r><a><b/></a>`, 1, 9, 3},
+		{lang.DOTSample, 4, 7, 0},
+		{lang.CoolSample, 5, 7, 0},
+		{lang.CoolSample, 5, 13, 5},
+		{lang.CoolSample, 5, 3 | 1<<57 | 4<<58, 0},
+		{lang.MiniCSample, 8, 7, 0},
+		{lang.MiniCSample, 8, 13, 6},
+		{lang.MiniCSample, 8, 3 | 1<<57 | 5<<58, 0},
 		{"010c010", 2, 0, 0},
 		{"0110c0110", 2, 0, 3},
 		{"01c01", 2, 0, 0},
@@ -142,7 +155,7 @@ func FuzzEngineDifferential(f *testing.F) {
 
 		if sel%4 == 3 {
 			// Restore: doc[:n] is the raw stack, doc[n:] the codes.
-			i := int(seed % uint64(len(fuzzOnce.restore)))
+			i := int(seed&0xff) % len(fuzzOnce.restore)
 			m, prog := fuzzOnce.restore[i], fuzzOnce.progs[i]
 			n := int((seed >> 8) % uint64(len(doc)+1))
 			cp := sealed(core.StateID((seed>>16)%uint64(len(m.States))), core.BytesToSymbols(doc[:n]))
@@ -166,16 +179,23 @@ func FuzzEngineDifferential(f *testing.F) {
 			return
 		}
 
-		fl := langs[int(sel%4)%len(langs)]
-		want, wantErr := fuzzParse(t, fl, true, doc, seed, depth)
-		got, gotErr := fuzzParse(t, fl, false, doc, seed, depth)
+		// Stream: sel 0 and 1 are JSON and XML; sel/4 steps on through
+		// DOT, Cool and MiniC. A seed with bit 57 set runs under an
+		// ε-budget of its top six bits (0 = default).
+		fl := langs[(int(sel%4)+2*int(sel/4))%len(langs)]
+		budget := 0
+		if seed&(1<<57) != 0 {
+			budget = int(seed >> 58)
+		}
+		want, wantErr := fuzzParse(t, fl, true, doc, seed, depth, budget)
+		got, gotErr := fuzzParse(t, fl, false, doc, seed, depth, budget)
 		if errString(gotErr) != errString(wantErr) {
-			t.Fatalf("%s err: engine %q, sim %q (doc %q seed %d depth %d)",
-				fl.l.Name, errString(gotErr), errString(wantErr), doc, seed, depth)
+			t.Fatalf("%s err: engine %q, sim %q (doc %q seed %d depth %d budget %d)",
+				fl.l.Name, errString(gotErr), errString(wantErr), doc, seed, depth, budget)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s outcome: engine %+v, sim %+v (doc %q seed %d depth %d)",
-				fl.l.Name, got, want, doc, seed, depth)
+			t.Fatalf("%s outcome: engine %+v, sim %+v (doc %q seed %d depth %d budget %d)",
+				fl.l.Name, got, want, doc, seed, depth, budget)
 		}
 	})
 }

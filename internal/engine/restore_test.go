@@ -135,12 +135,20 @@ func restoreDiff(t testing.TB, m *core.HDPDA, prog *engine.Program, cp *core.Che
 			t.Fatalf("%s: DrainEpsilon: engine (%d, %q), sim (%d, %q)", ctx(), en, errString(eerr), sn, errString(serr))
 		}
 	}
+	sameState(t, ctx(), sim, eng)
+}
+
+// sameState fails t unless the engine execution is in the simulator's
+// configuration: every counter, reports, TOS, stack height, state,
+// accept and the checkpoint's bytes.
+func sameState(t testing.TB, ctx string, sim *core.Execution, eng *engine.Exec) {
+	t.Helper()
 	if !reflect.DeepEqual(eng.Result(), sim.Result()) {
-		t.Fatalf("%s: result\n got %+v\nwant %+v", ctx(), eng.Result(), sim.Result())
+		t.Fatalf("%s: result\n got %+v\nwant %+v", ctx, eng.Result(), sim.Result())
 	}
 	if eng.TOS() != sim.TOS() || eng.StackLen() != sim.StackLen() ||
 		eng.Current() != sim.Current() || eng.InAccept() != sim.InAccept() {
-		t.Fatalf("%s: engine TOS %#02x len %d state %d accept %v, sim TOS %#02x len %d state %d accept %v", ctx(),
+		t.Fatalf("%s: engine TOS %#02x len %d state %d accept %v, sim TOS %#02x len %d state %d accept %v", ctx,
 			eng.TOS(), eng.StackLen(), eng.Current(), eng.InAccept(),
 			sim.TOS(), sim.StackLen(), sim.Current(), sim.InAccept())
 	}
@@ -150,7 +158,7 @@ func restoreDiff(t testing.TB, m *core.HDPDA, prog *engine.Program, cp *core.Che
 	sb, serr := scp.MarshalBinary()
 	eb, eerr := ecp.MarshalBinary()
 	if serr != nil || eerr != nil || !bytes.Equal(eb, sb) {
-		t.Fatalf("%s: re-checkpoint differs (engine err %v, sim err %v)\n got %+v\nwant %+v", ctx(), eerr, serr, ecp, scp)
+		t.Fatalf("%s: checkpoint differs (engine err %v, sim err %v)\n got %+v\nwant %+v", ctx, eerr, serr, ecp, scp)
 	}
 }
 

@@ -7,7 +7,35 @@ import (
 	"time"
 
 	"aspen/internal/lang"
+	"aspen/internal/stream"
 )
+
+// The lexer is bound to a tenant's machine once, at load: every parser
+// its pool builds scans with that one Bound instead of binding its own
+// emit table.
+func TestPooledParsersShareBound(t *testing.T) {
+	s, err := New(Options{Languages: []*lang.Language{lang.JSON(), lang.Cool()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"JSON", "Cool"} {
+		g := s.grammar(name)
+		// Two Gets without a Put: the warm parser, then a fresh one.
+		p1 := g.parsers.Get().(*stream.Parser)
+		p2 := g.parsers.Get().(*stream.Parser)
+		if p1 == p2 {
+			t.Fatalf("%s: pool handed out one parser twice", name)
+		}
+		if p1.Bound() != g.bound || p2.Bound() != g.bound {
+			t.Errorf("%s: parsers scan with %p and %p, tenant bound %p", name, p1.Bound(), p2.Bound(), g.bound)
+		}
+		g.parsers.Put(p1)
+		g.parsers.Put(p2)
+	}
+	if s.grammar("JSON").bound == s.grammar("Cool").bound {
+		t.Error("two tenants share one Bound")
+	}
+}
 
 // Steady-state budget for one g.parse call. Everything proportional to
 // the input — codes, stack, input tail, copy buffer, the parser itself —

@@ -9,6 +9,7 @@ import (
 	"aspen/internal/core"
 	"aspen/internal/engine"
 	"aspen/internal/lang"
+	"aspen/internal/lexer"
 	"aspen/internal/stream"
 	"aspen/internal/telemetry"
 	"aspen/internal/verify"
@@ -40,6 +41,9 @@ type grammarEntry struct {
 	// each on its own engine.Exec (DESIGN.md §11 says why serving is
 	// single-lane). Guarded parses run the simulator instead (chaos.go).
 	prog *engine.Program
+	// bound is the tenant's lexer bound to cm's codes, shared by every
+	// parser of both pools.
+	bound *lexer.Bound
 
 	// Lifecycle. Entries are immutable once published in a tenant
 	// snapshot; a reload/swap builds a replacement off to the side and
@@ -143,10 +147,8 @@ func (g *grammarEntry) initChaos(s *Server) {
 				inj.SetCounters(g.m.faultFlips, g.m.faultStuck, g.m.faultKills)
 				inj.SetDelayCounter(g.m.faultDelays)
 				u.injs = append(u.injs, inj)
-				p, err := stream.NewParser(g.lang, g.cm, core.ExecOptions{Hooks: hooks, Faults: inj})
-				if err != nil {
-					return nil, err
-				}
+				p := stream.NewParserBound(g.lang, g.cm, g.bound,
+					core.NewExecution(g.cm.Machine, core.ExecOptions{Hooks: hooks, Faults: inj}))
 				// Stream totals count the canonical replica only;
 				// redundant work shows up as capacity (narrower pools)
 				// and in the verify_* series, not as inflated token
@@ -180,9 +182,11 @@ func newGrammarEntry(s *Server, l *lang.Language, fabricShare int) (*grammarEntr
 		return nil, err
 	}
 	s.m.compiles.Inc()
-	// Warm the lexer cache now: lang.Language builds it lazily without
-	// locking, so it must be constructed before concurrent requests.
-	if _, err := l.Lexer(); err != nil {
+	// Bind the lexer now, once for every parser of the tenant; this also
+	// warms lang.Language's lexer cache, which is built lazily without
+	// locking and so must exist before concurrent requests.
+	bound, err := stream.Bind(l, cm)
+	if err != nil {
 		return nil, err
 	}
 	sim, err := arch.New(cm.Machine, s.cfg)
@@ -208,6 +212,7 @@ func newGrammarEntry(s *Server, l *lang.Language, fabricShare int) (*grammarEntr
 		cm:        cm,
 		cap:       cap,
 		prog:      prog,
+		bound:     bound,
 		replicas:  replicas,
 		unitBanks: unitBanks,
 		workers:   workers,
@@ -224,12 +229,7 @@ func newGrammarEntry(s *Server, l *lang.Language, fabricShare int) (*grammarEntr
 	g.weight.Store(w)
 	g.flow = newFlow(g, workers, workers+s.opts.QueueDepth)
 	g.parsers.New = func() any {
-		p, err := stream.NewParserBackend(g.lang, g.cm, engine.NewExec(g.prog, engine.Options{}))
-		if err != nil {
-			// Unreachable: parser construction can only fail building the
-			// lexer, which was constructed and cached at load time.
-			panic("serve: " + g.name + ": " + err.Error())
-		}
+		p := stream.NewParserBound(g.lang, g.cm, g.bound, engine.NewExec(g.prog, engine.Options{}))
 		p.EnableTelemetry(s.reg)
 		return p
 	}

@@ -184,7 +184,7 @@ func (r *Record) payload() ([]byte, error) {
 		if len(r.Name) == 0 || len(r.Name) > maxName {
 			return nil, fmt.Errorf("store: record name length %d out of range", len(r.Name))
 		}
-		if r.Weight < 1 || r.Weight > int(^uint32(0)) {
+		if r.Weight < 1 || uint64(r.Weight) > uint64(^uint32(0)) {
 			return nil, fmt.Errorf("store: weight %d out of range", r.Weight)
 		}
 		out := appendString(nil, r.Name)

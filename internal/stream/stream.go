@@ -157,20 +157,39 @@ func NewParser(l *lang.Language, cm *compile.Compiled, opts core.ExecOptions) (*
 // execution backend (the fast-path engine, or a pre-configured
 // simulator execution). The backend must run the machine cm compiled.
 func NewParserBackend(l *lang.Language, cm *compile.Compiled, b Backend) (*Parser, error) {
+	bound, err := Bind(l, cm)
+	if err != nil {
+		return nil, err
+	}
+	return NewParserBound(l, cm, bound, b), nil
+}
+
+// Bind binds l's lexer to the token codes of cm, the machine l
+// compiled to. The result depends on nothing else and is read-only, so
+// one Bound serves every parser of cm (see NewParserBound).
+func Bind(l *lang.Language, cm *compile.Compiled) (*lexer.Bound, error) {
 	lx, err := l.Lexer()
 	if err != nil {
 		return nil, err
 	}
-	bound := lx.Bind(func(rule int) (core.Symbol, bool) {
+	return lx.Bind(func(rule int) (core.Symbol, bool) {
 		return cm.Tokens.Code(l.Grammar.Lookup(l.LexSpec.Rules[rule].Name))
-	})
+	}), nil
+}
+
+// NewParserBound is NewParserBackend over a lexer Bind already bound
+// to cm, which a pool of parsers shares.
+func NewParserBound(l *lang.Language, cm *compile.Compiled, bound *lexer.Bound, b Backend) *Parser {
 	return &Parser{
 		l: l, cm: cm, lx: bound,
 		exec: b,
 		run:  b.FeedAll,
 		mfp:  cm.Fingerprint(),
-	}, nil
+	}
 }
+
+// Bound returns the bound lexer the parser scans with.
+func (p *Parser) Bound() *lexer.Bound { return p.lx }
 
 // SetRunner replaces the function each chunk's codes are fed through,
 // which defaults to the backend's FeedAll; run must keep FeedAll's
